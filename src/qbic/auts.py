@@ -3,18 +3,19 @@
 The automorphism group scheme of a q-bic form with Gram matrix B consists
 of the invertible A with A^[1],T B A = B.  Its dimension and the dimension
 of its Lie algebra are closed-form functions of the type invariant; this
-module evaluates those formulas and, on tiny instances, enumerates the
-rational points directly as an independent check.
+module evaluates those formulas and, on tiny instances, counts the
+rational points exactly as an independent check.  The count builds A one
+column at a time: all but one of the conditions on the next column are
+linear, so each column's candidates come from one elimination.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import CostGuardError
-from .fields import field_make
+from .fields import frobenius, qth_root
 from .forms import type_of
-from .linalg import MatrixF, kernel, twisted_congruence
+from .linalg import (MatrixF, Subspace, kernel, pairing, solve,
+                     subspace_vectors)
 
 _ENUM_GUARD = 5 ** 9
 
@@ -66,71 +67,51 @@ def _check_enum_guard(f):
             f"|field|^(n^2) <= {_ENUM_GUARD}")
 
 
-def _count_range(field, B, start, stop, want_samples):
-    """Count stabilizers among the candidate matrices with enumeration
-    index in [start, stop); candidates are indexed by base-|field|
-    digits, row-major."""
-    n = B.nrows
-    order = field.order
-    elements = list(field.elements())
+def enumerate_points(f, jobs=1):
+    """Count the invertible A with A^[1],T B A = B over a small finite
+    field, returning (count, samples) with at most 10 sample matrices.
+
+    The columns a_1, ..., a_n of A are chosen one at a time.  With
+    a_1..a_{j-1} fixed, beta(a_i, x) = B_ij is linear in the next column
+    x, and so is beta(x, a_i) = B_ji after taking q-th roots of both
+    sides.  The candidates for a_j are one solution of that system plus
+    the vectors of its kernel; they are filtered by beta(x, x) = B_jj and
+    by independence from the earlier columns.  `jobs` is accepted for
+    compatibility and ignored.  Guarded: refuses fields/dimensions where
+    the candidate space exceeds the enumeration budget."""
+    _check_enum_guard(f)
+    field, B, n = f.field, f.gram, f.n
+    Bt = B.transpose()
     count = 0
     samples = []
-    for idx in range(start, stop):
-        digits = []
-        v = idx
-        for _ in range(n * n):
-            digits.append(v % order)
-            v //= order
-        A = MatrixF(field, [[elements[digits[i * n + j]] for j in range(n)]
-                            for i in range(n)])
-        if not A.is_invertible():
-            continue
-        if twisted_congruence(B, A) == B:
+
+    def extend(cols):
+        nonlocal count
+        j = len(cols)
+        if j == n:
             count += 1
-            if want_samples and len(samples) < 10:
-                samples.append(A)
+            if len(samples) < 10:
+                samples.append(MatrixF(field, cols).transpose())
+            return
+        rows, rhs = [], []
+        for i, a in enumerate(cols):
+            rows.append(Bt.apply([frobenius(x, 1) for x in a]))
+            rhs.append(B[i, j])
+            rows.append([qth_root(c) for c in B.apply(a)])
+            rhs.append(qth_root(B[j, i]))
+        M = MatrixF(field, rows, ncols=n)
+        try:
+            x0 = solve(M, rhs)
+        except ValueError:
+            return
+        for k in subspace_vectors(kernel(M)):
+            x = [a + b for a, b in zip(x0, k)]
+            if (pairing(B, x, x) == B[j, j] and
+                    Subspace.from_columns(field, n, cols + [x]).dim > j):
+                extend(cols + [x])
+
+    extend([])
     return count, samples
-
-
-def _count_range_worker(args):
-    (p, e, k, modulus, rows, start, stop) = args
-    field = field_make(p, e, k, modulus)
-    elements = list(field.elements())
-    B = MatrixF(field, [[elements[v] for v in row] for row in rows])
-    count, _ = _count_range(field, B, start, stop, False)
-    return count
-
-
-def enumerate_points(f, jobs=1):
-    """Exhaustively count the invertible A with A^[1],T B A = B over a
-    small finite field, returning (count, samples) with at most 10 sample
-    matrices.  Guarded: refuses fields/dimensions where the candidate
-    space exceeds the enumeration budget."""
-    _check_enum_guard(f)
-    field = f.field
-    n = f.n
-    total = field.order ** (n * n)
-    if jobs is None:
-        jobs = int(os.environ.get("QBIC_JOBS", "1"))
-    if jobs <= 1:
-        return _count_range(field, f.gram, 0, total, True)
-    import concurrent.futures
-    rows = [[f.gram[i, j].val for j in range(n)] for i in range(n)]
-    chunk = (total + 4 * jobs - 1) // (4 * jobs)
-    tasks = [(field.p, field.e, field.k, field.modulus, rows,
-              s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        count = sum(ex.map(_count_range_worker, tasks))
-    # Samples come from a sequential scan so output is identical
-    # regardless of the worker count.
-    samples = []
-    for start in range(0, total, 4096):
-        _, found = _count_range(field, f.gram, start,
-                                min(start + 4096, total), True)
-        samples.extend(found)
-        if len(samples) >= min(count, 10):
-            break
-    return count, samples[:10]
 
 
 def lie_points(f):
@@ -147,7 +128,8 @@ def lie_points(f):
 
 
 def aut_report(f, points=False, jobs=1):
-    """JSON-ready report on the automorphism group of f."""
+    """JSON-ready report on the automorphism group of f; `jobs` is
+    accepted for compatibility and ignored."""
     t = type_of(f)
     report = {
         "type": str(t),
@@ -156,7 +138,7 @@ def aut_report(f, points=False, jobs=1):
         "points": None,
     }
     if points:
-        count, _ = enumerate_points(f, jobs=jobs)
+        count, _ = enumerate_points(f)
         report["points"] = {"field": f"{f.field.p}^{f.field.k}",
                             "count": count}
     return report

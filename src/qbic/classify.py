@@ -10,15 +10,14 @@ transpose(U^[1]) . B . U equals the standard Gram matrix entrywise.
 
 from __future__ import annotations
 
-import itertools
-
 from .fields import embed, extension_field, frobenius
 from .forms import (QBicForm, hermitian_gram, hermitian_space,
                     perp_filtration, perp_prime_filtration, total_orthogonal,
                     type_of, TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
-                     intersect, kernel, right_orthogonal, subspace_sum,
-                     twist_matrix, twist_subspace, twisted_congruence)
+                     intersect, kernel, pairing, right_orthogonal,
+                     subspace_sum, subspace_vectors, twist_matrix,
+                     twist_subspace, twisted_congruence)
 
 
 def jordan_gram(field, m):
@@ -71,21 +70,6 @@ def _require_finite(f):
         raise ValueError("normal forms require a finite base field")
 
 
-def _subspace_vectors(S):
-    """All nonzero vectors of S in a fixed deterministic order."""
-    field = S.field
-    cols = S.basis.columns()
-    scalars = list(field.elements())
-    for coeffs in itertools.product(scalars, repeat=len(cols)):
-        if all(c.is_zero() for c in coeffs):
-            continue
-        vec = [field.zero()] * S.n
-        for c, col in zip(coeffs, cols):
-            if not c.is_zero():
-                vec = [a + c * b for a, b in zip(vec, col)]
-        yield vec
-
-
 def _span(field, n, cols):
     return Subspace.from_columns(field, n, cols)
 
@@ -100,7 +84,7 @@ def _choose_matching(field, X, D, B, target, b):
     """A b-dimensional subspace Y of X with B.Y = target, linearly disjoint
     from D.  Depth-first search over the vectors of X, deterministic."""
     n = X.n
-    candidates = list(_subspace_vectors(X))
+    candidates = list(subspace_vectors(X))[1:]  # all but the zero vector
 
     def extend(chosen, start):
         if len(chosen) == b:
@@ -129,22 +113,6 @@ def _choose_matching(field, X, D, B, target, b):
     if Y is None:
         raise AssertionError("no matching subspace found during peeling")
     return Y
-
-
-def _extend_to_complement_avoiding(field, n, seed, avoid):
-    """Grow `seed` to a complement of `avoid` in k^n by coordinate vectors,
-    keeping the intersection with `avoid` trivial."""
-    cur = seed
-    target_dim = n - avoid.dim
-    for i in range(n):
-        if cur.dim == target_dim:
-            break
-        e = [field.one() if j == i else field.zero() for j in range(n)]
-        trial = subspace_sum(cur, _span(field, n, [e]))
-        if trial.dim > cur.dim and intersect(trial, avoid).dim == 0:
-            cur = trial
-    assert cur.dim == target_dim, "complement extension failed"
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +175,7 @@ def peel(f, m):
         Wimg = _span(field, Q.dim,
                      [dual_image(v) for v in V1pp.basis.columns()])
         assert intersect(Wimg, W1).dim == 0
-        W1p = _extend_to_complement_avoiding(field, Q.dim, Wimg, W1)
+        W1p = subspace_sum(Wimg, complement(subspace_sum(Wimg, W1)))
         ann = kernel(W1p.basis.transpose())
         V2_cols = [Qb.apply(c) for c in ann.basis.columns()]
         V2 = _span(field, n, V2_cols)
@@ -319,7 +287,7 @@ def _standardize_block(field, B, M, m, b):
         prev = basis_chain[-1]
         nxt_basis = blocks[i + 1].basis
         pair = MatrixF(field,
-                       [[_pairing(G, u, w) for w in nxt_basis.columns()]
+                       [[pairing(G, u, w) for w in nxt_basis.columns()]
                         for u in prev])
         C = pair.inverse()
         cols = nxt_basis.columns()
@@ -339,15 +307,6 @@ def _standardize_block(field, B, M, m, b):
         for i in range(m):
             out.append(M.apply(basis_chain[i][s]))
     return out
-
-
-def _pairing(G, u, w):
-    tw = [frobenius(x, 1) for x in u]
-    acc = G.field.zero()
-    for a, c in zip(tw, G.apply(w)):
-        if a and c:
-            acc = acc + a * c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import CostGuardError
@@ -53,6 +52,12 @@ def _read_form(path, field_spec=None):
     return QBicForm(field, gram)
 
 
+def _require_finite(f, command):
+    if f.field.kind != "finite":
+        raise InputError(f"{command} needs a finite field, not "
+                         f"{f.field.spec_string()!r}")
+
+
 def _matrix_json(M):
     return [[str(M[i, j]) for j in range(M.ncols)] for i in range(M.nrows)]
 
@@ -81,6 +86,7 @@ def cmd_type(args):
 
 def cmd_normal_form(args):
     f = _read_form(args.gram, args.field)
+    _require_finite(f, "normal-form")
     try:
         cert = normal_form(f, allow_extension=args.allow_extension)
     except NeedsExtension as ex:
@@ -110,12 +116,15 @@ def cmd_aut(args):
                "group_dim": group_dim(t), "points": None}, args.output)
         return 0
     f = _read_form(args.gram, args.field)
-    _emit(aut_report(f, points=args.points, jobs=args.jobs), args.output)
+    _emit(aut_report(f, points=args.points), args.output)
     return 0
 
 
 def cmd_hermitian(args):
+    if args.ext < 1:
+        raise InputError("--ext must be a positive integer")
     f = _read_form(args.gram, args.field)
+    _require_finite(f, "hermitian")
     h = hermitian_space(f, args.ext)
     _emit({
         "r": h.r,
@@ -127,6 +136,8 @@ def cmd_hermitian(args):
 
 
 def cmd_moduli(args):
+    if args.dim < 1:
+        raise InputError("--dim must be a positive integer")
     restrict = None
     if args.restrict:
         restrict = [_parse_type_arg(s) for s in args.restrict.split(",")]
@@ -185,9 +196,8 @@ def cmd_witness(args):
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qbic", description="Exact classification of q-bic forms.")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("QBIC_JOBS", "1")),
-                        help="worker count for parallel enumeration")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="ignored; point counting is serial")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, gram=True):

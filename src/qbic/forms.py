@@ -14,8 +14,8 @@ import re
 
 from .fields import embed, extension_field
 from .linalg import (MatrixF, Subspace, descent_test, intersect, kernel,
-                     left_orthogonal, rank, right_orthogonal, subspace_sum,
-                     twist_matrix, twist_subspace)
+                     left_orthogonal, pairing, rank, right_orthogonal,
+                     subspace_sum, twist_matrix, twist_subspace)
 
 
 class QBicForm:
@@ -75,9 +75,6 @@ class PerpFiltration:
         if i + 1 < len(self._pieces):
             return self._pieces[i + 1]
         return self.p_minus if i % 2 else self.p_plus
-
-    def computed_range(self):
-        return len(self._pieces) - 1
 
 
 def perp_filtration(f):
@@ -490,19 +487,11 @@ def hermitian_space(f, r):
 def hermitian_gram(h):
     """Gram matrix of beta on the Hermitian basis; entries lie in F_{q^2}
     and satisfy transpose(H) = H^[1]."""
-    K = h.ext_field
-    B = h.gram_ext
-    from .fields import frobenius
     rows = []
     for vi in h.basis:
-        vi_tw = [frobenius(x, 1) for x in vi]
         row = []
         for vj in h.basis:
-            acc = K.zero()
-            Bvj = B.apply(vj)
-            for a, b in zip(vi_tw, Bvj):
-                acc = acc + a * b
-            val = h.fq2_embedding.preimage(acc)
+            val = h.fq2_embedding.preimage(pairing(h.gram_ext, vi, vj))
             if val is None:
                 raise AssertionError("Hermitian pairing value outside "
                                      "F_{q^2}")

@@ -10,6 +10,8 @@ every output deterministic.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import frobenius, qth_root
 
 
@@ -290,8 +292,20 @@ class Subspace:
     def contains(self, other):
         return all(self.contains_vector(c) for c in other.basis.columns())
 
-    def vectors(self):
-        return self.basis.columns()
+
+def subspace_vectors(S):
+    """Every vector of S over a finite field, the zero vector first, in a
+    fixed order: the coefficient tuples on the echelon basis run through
+    itertools.product over the field's elements."""
+    field = S.field
+    cols = S.basis.columns()
+    scalars = list(field.elements())
+    for coeffs in itertools.product(scalars, repeat=len(cols)):
+        vec = [field.zero()] * S.n
+        for c, col in zip(coeffs, cols):
+            if not c.is_zero():
+                vec = [a + c * b for a, b in zip(vec, col)]
+        yield vec
 
 
 def subspace_sum(S1, S2):
@@ -359,6 +373,15 @@ def twist_subspace(S, i):
     if i == 0:
         return S
     return Subspace(S.field, S.n, twist_matrix(S.basis, i))
+
+
+def pairing(B, u, v):
+    """beta(u, v) = transpose(u^[1]) . B . v."""
+    acc = B.field.zero()
+    for a, c in zip(u, B.apply(v)):
+        if a and c:
+            acc = acc + frobenius(a, 1) * c
+    return acc
 
 
 def twisted_congruence(B, A):

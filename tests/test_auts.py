@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from conftest import random_form, rng_for
+from conftest import random_form, random_invertible, rng_for
 from qbic import CostGuardError
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, parse_type, perp_filtration,
@@ -17,6 +19,27 @@ GF4 = field_make(2, 1, 2)
 
 def form_of(text, field=GF4):
     return QBicForm(field, standard_gram(parse_type(text), field))
+
+
+def brute_force_count(B):
+    """Reference count, the scan the column search replaced: test every
+    one of the |field|^(n^2) matrices."""
+    field, n = B.field, B.nrows
+    count = 0
+    for entries in itertools.product(list(field.elements()), repeat=n * n):
+        A = MatrixF(field, [entries[i * n:(i + 1) * n] for i in range(n)])
+        if A.is_invertible() and twisted_congruence(B, A) == B:
+            count += 1
+    return count
+
+
+def unitary_order(q, n):
+    """Order of the unitary group U_n(q), the stabilizer of 1^n over
+    F_{q^2}: q^(n(n-1)/2) * prod_{i=1}^{n} (q^i - (-1)^i)."""
+    out = q ** (n * (n - 1) // 2)
+    for i in range(1, n + 1):
+        out *= q ** i - (-1) ** i
+    return out
 
 
 class TestDimensionFormulas:
@@ -61,6 +84,37 @@ class TestPointEnumeration:
         assert enumerate_points(form_of("1^2"))[0] == 18
         assert enumerate_points(
             QBicForm(GF4, MatrixF.zero(GF4, 2, 2)))[0] == 180
+
+    def test_matches_brute_force_on_conjugates(self):
+        rng = rng_for("points")
+        for n in (1, 2):
+            for t in enumerate_types(n):
+                for _ in range(3):
+                    A = random_invertible(GF4, n, rng)
+                    B = twisted_congruence(standard_gram(t, GF4), A)
+                    count, samples = enumerate_points(QBicForm(GF4, B))
+                    assert count == brute_force_count(B)
+                    assert len(samples) == min(count, 10)
+                    for S in samples:
+                        assert S.is_invertible()
+                        assert twisted_congruence(B, S) == B
+
+    @pytest.mark.parametrize("p,e,k", [(2, 1, 2), (3, 1, 2), (2, 2, 4),
+                                       (5, 1, 2)])
+    def test_unitary_closed_form(self, p, e, k):
+        F = field_make(p, e, k)
+        for n in (1, 2):
+            identity = MatrixF.identity(F, n)
+            count, samples = enumerate_points(QBicForm(F, identity))
+            assert count == unitary_order(F.q, n)
+            for S in samples:
+                assert S.is_invertible()
+                assert twisted_congruence(identity, S) == identity
+
+    def test_dimension_three(self):
+        assert enumerate_points(form_of("1^3"))[0] == 648
+        assert unitary_order(2, 3) == 648
+        assert enumerate_points(form_of("N3"))[0] == 12
 
     def test_sample_matrices_stabilize(self):
         f = form_of("0+1")

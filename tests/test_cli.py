@@ -5,6 +5,7 @@ import pytest
 from qbic.cli import main
 
 N3_FILE = "field: 2^2 q=2 mod=[1,1,1]\nn: 3\n0 1 0\n0 0 1\n0 0 0\n"
+RATIONAL_FILE = "field: 2^2(t) q=2 mod=[1,1,1]\nn: 2\nt 1\n1 0\n"
 FIG5 = ("1^5,1^3+N2,1^2+N3,1+N4,N5,1+N2^2,N2+N3,0+1^4,0+1^2+N2")
 
 
@@ -12,6 +13,13 @@ FIG5 = ("1^5,1^3+N2,1^2+N3,1+N4,N5,1+N2^2,N2+N3,0+1^4,0+1^2+N2")
 def n3_path(tmp_path):
     path = tmp_path / "n3.txt"
     path.write_text(N3_FILE)
+    return str(path)
+
+
+@pytest.fixture
+def rational_path(tmp_path):
+    path = tmp_path / "rational.txt"
+    path.write_text(RATIONAL_FILE)
     return str(path)
 
 
@@ -77,6 +85,11 @@ class TestNormalFormCommand:
         data = json.loads(out)
         assert code == 0 and data["verified"] and data["extension_degree"] == 3
 
+    def test_rational_function_field_is_input_error(self, capsys,
+                                                     rational_path):
+        code, out, err = run(capsys, "normal-form", rational_path)
+        assert code == 2 and out == "" and "finite field" in err
+
 
 class TestAutCommand:
     def test_by_type(self, capsys):
@@ -113,6 +126,16 @@ class TestHermitianCommand:
         data = json.loads(out)
         assert data["d"] == 2 and data["point_count"] == 16
 
+    @pytest.mark.parametrize("ext", ["0", "-1"])
+    def test_nonpositive_ext_is_input_error(self, capsys, n3_path, ext):
+        code, out, err = run(capsys, "hermitian", n3_path, "--ext", ext)
+        assert code == 2 and out == "" and "--ext" in err
+
+    def test_rational_function_field_is_input_error(self, capsys,
+                                                     rational_path):
+        code, out, err = run(capsys, "hermitian", rational_path)
+        assert code == 2 and out == "" and "finite field" in err
+
 
 class TestModuliCommand:
     def test_figure_counts_and_dot(self, capsys, tmp_path):
@@ -128,6 +151,10 @@ class TestModuliCommand:
     def test_cost_guard(self, capsys):
         code, _, _ = run(capsys, "moduli", "--dim", "9")
         assert code == 3
+
+    def test_nonpositive_dim_is_input_error(self, capsys):
+        code, out, err = run(capsys, "moduli", "--dim", "0")
+        assert code == 2 and out == "" and "--dim" in err
 
     def test_bad_type_in_restrict(self, capsys):
         code, _, _ = run(capsys, "moduli", "--dim", "5",
@@ -152,6 +179,12 @@ class TestSpecializeCommand:
         code, _, _ = run(capsys, "specialize", "--from", "1+N3^2+N8",
                          "--to", "0+N7^2", "--strict")
         assert code == 1
+
+    def test_qbic_jobs_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("QBIC_JOBS", "abc")
+        code, out, _ = run(capsys, "specialize", "--from", "N2",
+                           "--to", "0^2")
+        assert code == 0 and json.loads(out)["verdict"] == "yes"
 
     def test_dimension_mismatch(self, capsys):
         code, _, _ = run(capsys, "specialize", "--from", "1", "--to", "1^2")
