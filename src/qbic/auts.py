@@ -67,7 +67,7 @@ def _check_enum_guard(f):
             f"|field|^(n^2) <= {_ENUM_GUARD}")
 
 
-def enumerate_points(f, jobs=1):
+def enumerate_points(f):
     """Count the invertible A with A^[1],T B A = B over a small finite
     field, returning (count, samples) with at most 10 sample matrices.
 
@@ -76,9 +76,9 @@ def enumerate_points(f, jobs=1):
     x, and so is beta(x, a_i) = B_ji after taking q-th roots of both
     sides.  The candidates for a_j are one solution of that system plus
     the vectors of its kernel; they are filtered by beta(x, x) = B_jj and
-    by independence from the earlier columns.  `jobs` is accepted for
-    compatibility and ignored.  Guarded: refuses fields/dimensions where
-    the candidate space exceeds the enumeration budget."""
+    by independence from the earlier columns.  Guarded: refuses
+    fields/dimensions where the candidate space exceeds the enumeration
+    budget."""
     _check_enum_guard(f)
     field, B, n = f.field, f.gram, f.n
     Bt = B.transpose()
@@ -127,9 +127,8 @@ def lie_points(f):
     return f.field.order ** (f.n * d)
 
 
-def aut_report(f, points=False, jobs=1):
-    """JSON-ready report on the automorphism group of f; `jobs` is
-    accepted for compatibility and ignored."""
+def aut_report(f, points=False):
+    """JSON-ready report on the automorphism group of f."""
     t = type_of(f)
     report = {
         "type": str(t),

@@ -133,11 +133,11 @@ def peel(f, m):
     change; returns the change of basis together with both summands."""
     _require_finite(f)
     field, B, n = f.field, f.gram, f.n
-    t = type_of(f)
+    P = perp_filtration(f)
+    t = type_of(f, P)
     b = t.b_m(m)
     if b == 0:
         raise ValueError(f"type has no N_{m} summand")
-    P = perp_filtration(f)
     Pp = perp_prime_filtration(f)
 
     def Ppd(i):

@@ -196,8 +196,6 @@ def cmd_witness(args):
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qbic", description="Exact classification of q-bic forms.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="ignored; point counting is serial")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, gram=True):

@@ -133,27 +133,39 @@ _DEFAULT_MODULI = {
 }
 
 
+@lru_cache(maxsize=None)
 def _default_modulus(p, k):
     got = _DEFAULT_MODULI.get((p, k))
     if got is not None:
         return got
-    # deterministic search: lexicographically smallest monic irreducible,
-    # low coefficients varying fastest
-    for lower in itertools.product(range(p), repeat=k):
-        cand = list(lower) + [1]
-        if _pp_is_irreducible(cand, p):
-            return tuple(cand)
+    # deterministic search: the monic irreducible whose coefficient tuple,
+    # constant term first, is lexicographically smallest (the coefficient
+    # of z^(k-1) varies fastest).  A zero constant term makes z a factor,
+    # so those candidates (k >= 2 always) are skipped untested.
+    for c0 in range(1, p):
+        for rest in itertools.product(range(p), repeat=k - 1):
+            cand = [c0, *rest, 1]
+            if _pp_is_irreducible(cand, p):
+                return tuple(cand)
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+
+# finite fields up to this order get log/antilog/Zech tables; larger ones
+# multiply polynomials in z
+TABLE_CAP = 1 << 16
 
 
 class FieldDescriptor:
     """A coefficient field: GF(p^k) or GF(p^k)(t), with q = p^e marked.
 
-    Immutable; equality and hashing go through (p, e, k, modulus, kind).
+    Immutable.  Built only through field_make, which hands out one
+    descriptor per (p, e, k, modulus, kind), so equality is identity.
+    Finite fields above TABLE_CAP use the polynomial arithmetic here;
+    smaller ones are _ZechField.
     """
 
-    __slots__ = ("p", "e", "k", "modulus", "kind", "q", "order",
-                 "_mul_table", "_inv_table", "_base", "__weakref__")
+    __slots__ = ("p", "e", "k", "modulus", "kind", "q", "order", "_base",
+                 "_spec", "__weakref__")
 
     def __init__(self, p, e, k, modulus, kind):
         self.p = p
@@ -163,32 +175,12 @@ class FieldDescriptor:
         self.kind = kind
         self.q = p ** e
         self.order = p ** k
-        self._mul_table = None
-        self._inv_table = None
         self._base = None
-        if kind == "finite" and self.order <= 256:
-            self._build_tables()
+        tail = "(t)" if kind == "rational-function" else ""
+        mod = ",".join(str(c) for c in self.modulus)
+        self._spec = f"{p}^{k}{tail} q={self.q} mod=[{mod}]"
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_tables(self):
-        n = self.order
-        mul = [[0] * n for _ in range(n)]
-        for a in range(n):
-            pa = self._decode(a)
-            for b in range(a, n):
-                c = self._encode(_pp_mod(_pp_mul(pa, self._decode(b), self.p),
-                                         list(self.modulus), self.p))
-                mul[a][b] = c
-                mul[b][a] = c
-        inv = [0] * n
-        for a in range(1, n):
-            for b in range(1, n):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._mul_table = mul
-        self._inv_table = inv
 
     def _decode(self, v):
         p = self.p
@@ -206,21 +198,11 @@ class FieldDescriptor:
 
     # -- identity ------------------------------------------------------------
 
-    def __eq__(self, other):
-        return (isinstance(other, FieldDescriptor)
-                and (self.p, self.e, self.k, self.modulus, self.kind)
-                == (other.p, other.e, other.k, other.modulus, other.kind))
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.k, self.modulus, self.kind))
-
     def __repr__(self):
         return f"FieldDescriptor({self.spec_string()!r})"
 
     def spec_string(self):
-        tail = "(t)" if self.kind == "rational-function" else ""
-        mod = ",".join(str(c) for c in self.modulus)
-        return f"{self.p}^{self.k}{tail} q={self.q} mod=[{mod}]"
+        return self._spec
 
     @property
     def finite_part(self):
@@ -247,8 +229,6 @@ class FieldDescriptor:
         return self._encode([(p - c) % p for c in self._decode(a)])
 
     def _fmul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
         return self._encode(_pp_mod(_pp_mul(self._decode(a), self._decode(b),
                                             self.p),
                                     list(self.modulus), self.p))
@@ -256,8 +236,6 @@ class FieldDescriptor:
     def _finv(self, a):
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self._inv_table is not None:
-            return self._inv_table[a]
         return self._fpow(a, self.order - 2)
 
     def _fpow(self, a, n):
@@ -271,6 +249,9 @@ class FieldDescriptor:
             a = self._fmul(a, a)
             n >>= 1
         return r
+
+    def _str(self, a):
+        return _fin_str(self, a)
 
     # -- element constructors ------------------------------------------------
 
@@ -328,12 +309,132 @@ class FieldDescriptor:
     # live at module level (_poly_* / _rf_*)
 
 
+class _ZechField(FieldDescriptor):
+    """GF(p^k) of order at most TABLE_CAP, with arithmetic by table lookup.
+
+    Over a primitive element g: _exp[i] = g^i for 0 <= i < 2(order-1), so a
+    sum of two logarithms needs no reduction; _log[g^i] = i; and
+    _zech[i] = log(1 + g^i), None where 1 + g^i = 0 (K. Huber, "Some
+    comments on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).
+    Then g^a + g^b = g^(a + zech[b - a]).  Elements keep the base-p int
+    encoding; the tables only translate it.  Building them takes order-1
+    multiplications by g.
+    """
+
+    __slots__ = ("_exp", "_log", "_zech", "_half", "_names")
+
+    def __init__(self, p, e, k, modulus, kind):
+        super().__init__(p, e, k, modulus, kind)
+        n1 = self.order - 1
+        # constants lie in GF(p), so the first candidate is z
+        g = next(v for v in range(p, self.order) if self._is_primitive(v))
+        gd = self._decode(g)
+        exp = [0] * n1
+        # g * v by Horner's rule over the digits of g: acc <- acc*z + g_j v
+        if p == 2:
+            top, red = 1 << k, self._encode(self.modulus)
+            v = 1
+            for i in range(n1):
+                exp[i] = acc = v
+                for gj in reversed(gd[:-1]):
+                    acc <<= 1
+                    if acc & top:
+                        acc ^= red
+                    if gj:
+                        acc ^= v
+                v = acc
+        else:
+            # on the base-p digits of v, low first; z^k = -sum low[j] z^j
+            lead_inv = pow(self.modulus[-1], p - 2, p)
+            low = [c * lead_inv % p for c in self.modulus[:-1]]
+            weights = [p ** j for j in range(k)]
+            d = [1] + [0] * (k - 1)
+            for i in range(n1):
+                exp[i] = sum(c * w for c, w in zip(d, weights))
+                acc = [gd[-1] * c % p for c in d]
+                for gj in reversed(gd[:-1]):
+                    c = acc[-1]
+                    acc = [0] + acc[:-1]
+                    if c:
+                        acc = [(a - c * r) % p for a, r in zip(acc, low)]
+                    if gj:
+                        acc = [(a + gj * b) % p for a, b in zip(acc, d)]
+                d = acc
+        log = [None] * self.order
+        for i, x in enumerate(exp):
+            log[x] = i
+        if p == 2:
+            zech = [log[x ^ 1] for x in exp]
+        else:
+            zech = [log[x - x % p + (x + 1) % p] for x in exp]
+        self._exp = exp + exp
+        self._log = log
+        self._zech = zech
+        self._half = n1 // 2
+        self._names = {}
+
+    def _is_primitive(self, v):
+        n1 = self.order - 1
+        x = self._decode(v)
+        return all(_pp_powmod(x, n1 // ell, list(self.modulus), self.p) != [1]
+                   for ell in _prime_factors(n1))
+
+    def _fadd(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a negative difference indexes from the end: zech has order-1
+        # entries, so the index is taken mod order-1 for free
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
+    def _fneg(self, a):
+        if self.p == 2 or not a:
+            return a
+        # -1 = g^((order-1)/2) for odd p
+        return self._exp[self._log[a] + self._half]
+
+    def _fmul(self, a, b):
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def _finv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero field element")
+        return self._exp[self.order - 1 - self._log[a]]
+
+    def _fpow(self, a, n):
+        if a == 0:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.order - 1)]
+
+    def _str(self, a):
+        # printed once per element: repeated output shares the strings
+        name = self._names.get(a)
+        if name is None:
+            name = self._names[a] = _fin_str(self, a)
+        return name
+
+
+# every descriptor field_make has handed out, by (p, e, k, modulus, kind)
+_FIELDS = {}
+
+
 def field_make(p, e, k, modulus=None, kind="finite"):
-    """Build a validated field descriptor.
+    """The validated field descriptor; one object per field.
 
     q = p^e; requires 2e | k so the field contains F_{q^2}.  When the
     modulus is omitted a fixed table of defaults is used for small (p, k),
     otherwise the lexicographically smallest monic irreducible is chosen.
+    A descriptor is interned only after its modulus passed the checks, so
+    a bad modulus is refused on every call.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -347,11 +448,18 @@ def field_make(p, e, k, modulus=None, kind="finite"):
         modulus = _default_modulus(p, k)
     else:
         modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] == 0:
-            raise ValueError("modulus must have degree k")
-        if not _pp_is_irreducible(list(modulus), p):
-            raise ValueError("modulus is reducible")
-    return FieldDescriptor(p, e, k, modulus, kind)
+    key = (p, e, k, modulus, kind)
+    got = _FIELDS.get(key)
+    if got is not None:
+        return got
+    if len(modulus) != k + 1 or modulus[-1] == 0:
+        raise ValueError("modulus must have degree k")
+    if not _pp_is_irreducible(list(modulus), p):
+        raise ValueError("modulus is reducible")
+    tabled = kind == "finite" and p ** k <= TABLE_CAP
+    F = (_ZechField if tabled else FieldDescriptor)(p, e, k, modulus, kind)
+    # two threads building the same field both get the one stored first
+    return _FIELDS.setdefault(key, F)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +564,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("field mismatch")
             return other
         if isinstance(other, int):
@@ -535,7 +643,10 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        r = self.field.one()
+        F = self.field
+        if F.kind == "finite":
+            return F._make(F._fpow(self.val, n))
+        r = F.one()
         a = self
         while n:
             if n & 1:
@@ -547,10 +658,8 @@ class FieldElement:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
         return (isinstance(other, FieldElement)
-                and self.field == other.field and self.val == other.val)
+                and self.field is other.field and self.val == other.val)
 
     def __hash__(self):
         return hash((self.field, self.val))
@@ -560,7 +669,7 @@ class FieldElement:
 
     def __str__(self):
         if self.field.kind == "finite":
-            return _fin_str(self.field, self.val)
+            return self.field._str(self.val)
         return _rf_str(self.field, self.val)
 
     def __bool__(self):
@@ -678,7 +787,7 @@ def _tpoly_terms(F, poly):
         c = poly[i]
         if not c:
             continue
-        cs = _fin_str(FB, c)
+        cs = FB._str(c)
         if i == 0:
             terms.append(cs)
             continue
@@ -872,6 +981,7 @@ class Embedding:
 
     def preimage(self, y):
         """Inverse on the image subfield; None if y is not in the image."""
+        from .linalg import _gfp_solve
         if y.field != self.dst:
             raise ValueError("element not in the target field")
         if self._matrix is None:
@@ -880,46 +990,10 @@ class Embedding:
         p = D.p
         dig = D._decode(y.val)
         target = [dig[r] if r < len(dig) else 0 for r in range(D.k)]
-        sol = _solve_gfp([list(col) for col in self._matrix], target, p, D.k)
+        sol = _gfp_solve(self._matrix, target, p, D.k)
         if sol is None:
             return None
         return S._make(S._encode(sol))
-
-
-def _solve_gfp(cols, target, p, nrows):
-    """Solve sum x_j cols[j] = target over GF(p); None if inconsistent."""
-    ncols = len(cols)
-    aug = [[cols[j][r] for j in range(ncols)] + [target[r]]
-           for r in range(nrows)]
-    piv_of_col = [-1] * ncols
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    # also rows at pivoted area could be inconsistent only past rank
-    sol = [0] * ncols
-    for c in range(ncols):
-        if piv_of_col[c] >= 0:
-            sol[c] = aug[piv_of_col[c]][ncols]
-    # verify (guards free-variable cases)
-    for rr in range(nrows):
-        s = sum(cols[j][rr] * sol[j] for j in range(ncols)) % p
-        if s != target[rr] % p:
-            return None
-    return sol
 
 
 @lru_cache(maxsize=None)
@@ -953,6 +1027,7 @@ def embed(src, dst):
         diff = dst._fadd(img, dst._fneg(basis_elt))
         dig = dst._decode(diff)
         cols.append([dig[r] if r < len(dig) else 0 for r in range(k)])
+    from .linalg import _gfp_kernel
     kernel = _gfp_kernel(cols, p, k)
     if p ** len(kernel) > 4096:
         raise ValueError("subfield too large for root search")
@@ -974,34 +1049,3 @@ def embed(src, dst):
                 return Embedding(src, dst, 1)
             return Embedding(src, dst, acc)
     raise ValueError("no root of the source modulus found")
-
-
-def _gfp_kernel(cols, p, nrows):
-    """Kernel basis of the GF(p) matrix with the given columns."""
-    ncols = len(cols)
-    mat = [[cols[j][r] for j in range(ncols)] for r in range(nrows)]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-    out = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-mat[pr][c]) % p
-        out.append(vec)
-    return out

@@ -441,7 +441,7 @@ def hermitian_space(f, r):
             xq2 = [K._make(K._fpow(v.val, q2)) for v in x]
             img = [u - w for u, w in zip(B.apply(x), C.apply(xq2))]
             cols.append(_flatten_ext_vector(K, img))
-    from .fields import _gfp_kernel
+    from .linalg import _gfp_kernel
     ker = _gfp_kernel(cols, p, n * kK)
 
     # decode GF(p)-kernel vectors back into K^n

@@ -11,8 +11,10 @@ every output deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import namedtuple
 
-from .fields import frobenius, qth_root
+from .fields import FieldElement, frobenius, qth_root
 
 
 class MatrixF:
@@ -99,34 +101,21 @@ class MatrixF:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose()
-        zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            row = []
-            for c in ot.rows:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixF(self.field, out, ncols=other.ncols)
+        F = self.field
+        if other.field is not F:
+            raise ValueError("field mismatch")
+        cols, ops = _unwrap(F, other.transpose().rows), _ops(F)
+        out = [_dot_rows(r, cols, ops) for r in _unwrap(F, self.rows)]
+        return MatrixF(F, _wrap(F, out), ncols=other.ncols)
 
     def scale(self, c):
         return MatrixF(self.field, [[c * a for a in r] for r in self.rows])
 
     def apply(self, vec):
         """Matrix times a column vector given as a list of elements."""
-        zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, b in zip(r, vec):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
+        F = self.field
+        out = _dot_rows(_unwrap(F, [vec])[0], _unwrap(F, self.rows), _ops(F))
+        return _wrap(F, [out])[0]
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -165,54 +154,138 @@ class MatrixF:
 
 # ---------------------------------------------------------------------------
 # row reduction core
+#
+# Finite-field matrices are computed on the int encodings of their
+# entries with the field's table arithmetic, unwrapped and wrapped once per
+# operation; GF(q)(t) runs the same loops on FieldElements, and the GF(p)
+# systems of the field and Hermitian code on plain ints mod p.
+
+_Ops = namedtuple("_Ops", "inv mul add neg zero one")
 
 
-def _rref(M):
-    """Reduced row echelon form; returns (MatrixF, pivot column list)."""
-    rows = [list(r) for r in M.rows]
-    nrows, ncols = M.nrows, M.ncols
+def _ops(F):
+    """The scalar ops on what _unwrap gives for field F."""
+    if F.kind == "finite":
+        return _Ops(F._finv, F._fmul, F._fadd, F._fneg, 0, 1)
+    return _Ops(FieldElement.inverse, operator.mul, operator.add,
+                operator.neg, F.zero(), F.one())
+
+
+def _gfp_ops(p):
+    return _Ops(lambda a: pow(a, p - 2, p), lambda a, b: a * b % p,
+                lambda a, b: (a + b) % p, lambda a: -a % p, 0, 1)
+
+
+def _unwrap(F, rows):
+    """Fresh mutable rows of the scalars the loops work on."""
+    if F.kind == "finite":
+        return [[x.val for x in r] for r in rows]
+    return [list(r) for r in rows]
+
+
+def _wrap(F, rows):
+    if F.kind == "finite":
+        make = F._make
+        return [[make(v) for v in r] for r in rows]
+    return rows
+
+
+def _dot_rows(row, cols, ops):
+    """The dot products of one row with each column."""
+    mul, add = ops.mul, ops.add
+    out = []
+    for c in cols:
+        acc = ops.zero
+        for a, b in zip(row, c):
+            if a and b:
+                acc = add(acc, mul(a, b))
+        out.append(acc)
+    return out
+
+
+def _eliminate(rows, ncols, ops):
+    """Reduce the list of rows in place to reduced row echelon form and
+    return the pivot columns.  The pivot of a column is its first nonzero
+    entry in row order.  Zero must be the only false scalar."""
+    inv, mul, add, neg = ops.inv, ops.mul, ops.add, ops.neg
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * v for v in rows[r]]
+        s = inv(rows[r][c])
+        prow = rows[r] = [mul(s, v) for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f = neg(rows[i][c])
+                rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return MatrixF(M.field, rows, ncols=ncols), pivots
+    return pivots
+
+
+def _kernel_rows(rows, ncols, ops):
+    """A basis of the right null space of the rows (reduced in place):
+    one vector per non-pivot column."""
+    pivots = _eliminate(rows, ncols, ops)
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [ops.zero] * ncols
+        vec[fc] = ops.one
+        for pr, pc in enumerate(pivots):
+            vec[pc] = ops.neg(rows[pr][fc])
+        out.append(vec)
+    return out
+
+
+def _solve_rows(aug, ncols, ops):
+    """One solution x of A x = b for the augmented rows [A | b] (reduced
+    in place), or None when the system is inconsistent."""
+    pivots = _eliminate(aug, ncols + 1, ops)
+    if ncols in pivots:
+        return None
+    x = [ops.zero] * ncols
+    for pr, pc in enumerate(pivots):
+        x[pc] = aug[pr][ncols]
+    return x
+
+
+def _gfp_kernel(cols, p, nrows):
+    """Kernel basis of the GF(p) matrix with the given columns."""
+    rows = [[col[r] for col in cols] for r in range(nrows)]
+    return _kernel_rows(rows, len(cols), _gfp_ops(p))
+
+
+def _gfp_solve(cols, target, p, nrows):
+    """Solve sum x_j cols[j] = target over GF(p); None if inconsistent."""
+    aug = [[col[r] for col in cols] + [target[r] % p] for r in range(nrows)]
+    return _solve_rows(aug, len(cols), _gfp_ops(p))
+
+
+def _rref(M):
+    """Reduced row echelon form; returns (MatrixF, pivot column list)."""
+    F = M.field
+    rows = _unwrap(F, M.rows)
+    pivots = _eliminate(rows, M.ncols, _ops(F))
+    return MatrixF(F, _wrap(F, rows), ncols=M.ncols), pivots
 
 
 def rank(M):
-    return len(_rref(M)[1])
+    return len(_eliminate(_unwrap(M.field, M.rows), M.ncols, _ops(M.field)))
 
 
 def kernel(M):
     """Right null space {x : Mx = 0} as a Subspace of k^ncols."""
-    red, pivots = _rref(M)
-    n = M.ncols
-    free = [c for c in range(n) if c not in pivots]
-    zero, one = M.field.zero(), M.field.one()
-    cols = []
-    for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -red.rows[pr][fc]
-        cols.append(vec)
-    return Subspace.from_columns(M.field, n, cols)
+    F = M.field
+    cols = _kernel_rows(_unwrap(F, M.rows), M.ncols, _ops(F))
+    return Subspace.from_columns(F, M.ncols, _wrap(F, cols))
 
 
 def image(M):
@@ -222,15 +295,14 @@ def image(M):
 
 def solve(M, b):
     """One solution x of Mx = b; raises ValueError when inconsistent."""
-    aug = M.hstack(MatrixF(M.field, [[v] for v in b]))
-    red, pivots = _rref(aug)
-    if M.ncols in pivots:
+    if len(b) != M.nrows:
+        raise ValueError("dimension mismatch")
+    F = M.field
+    x = _solve_rows(_unwrap(F, [r + (v,) for r, v in zip(M.rows, b)]),
+                    M.ncols, _ops(F))
+    if x is None:
         raise ValueError("inconsistent linear system")
-    zero = M.field.zero()
-    x = [zero] * M.ncols
-    for pr, pc in enumerate(pivots):
-        x[pc] = red.rows[pr][M.ncols]
-    return x
+    return _wrap(F, [x])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,27 @@ class TestMatrixBasics:
         assert S.basis.ncols == 0 and S.basis.nrows == 3
 
 
+class TestScalarPaths:
+    """Finite fields run matrix products and elimination on int encodings,
+    GF(q)(t) on FieldElements; both share one loop."""
+
+    def test_field_mismatch(self):
+        GF16 = field_make(2, 2, 4)
+        with pytest.raises(ValueError, match="field mismatch"):
+            MatrixF.identity(GF4, 2) @ MatrixF.identity(GF16, 2)
+
+    def test_rational_function_elimination(self):
+        t, z, one = RF4.t_gen(), RF4.gen(), RF4.one()
+        A = MatrixF(RF4, [[t, z, one], [t * t, z * t, t]])
+        assert rank(A) == 1 and kernel(A).dim == 2
+        for v in kernel(A).basis.columns():
+            assert all(x.is_zero() for x in A.apply(v))
+        x = solve(A, [one, t])
+        assert A.apply(x) == [one, t]
+        B = MatrixF(RF4, [[t, z], [one, t]])
+        assert B @ B.inverse() == MatrixF.identity(RF4, 2)
+
+
 class TestSubspaces:
     @given(matrices())
     def test_canonical_echelon_basis(self, A):
