@@ -5,3 +5,8 @@ __version__ = "0.1.0"
 
 class CostGuardError(Exception):
     """Raised when an operation would exceed its configured cost guard."""
+
+
+class VerificationError(Exception):
+    """Raised when a computed certificate or an intermediate invariant of
+    its construction fails its explicit check."""

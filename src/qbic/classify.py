@@ -10,13 +10,14 @@ transpose(U^[1]) . B . U equals the standard Gram matrix entrywise.
 
 from __future__ import annotations
 
-from .fields import embed, extension_field, frobenius
+from . import VerificationError
+from .fields import embed, frobenius
 from .forms import (QBicForm, hermitian_gram, hermitian_space,
-                    perp_filtration, perp_prime_filtration, total_orthogonal,
-                    type_of, TypeSignature)
+                    perp_filtration, total_orthogonal, type_of,
+                    TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
-                     intersect, kernel, pairing, right_orthogonal,
-                     subspace_sum, subspace_vectors, twist_matrix,
+                     intersect, kernel, left_orthogonal, pairing,
+                     right_orthogonal, subspace_sum, twist_matrix,
                      twist_subspace, twisted_congruence)
 
 
@@ -80,38 +81,32 @@ def _restricted_gram(B, M):
     return twist_matrix(M, 1).transpose() @ B @ M
 
 
+def _check(ok, what):
+    """Raise VerificationError unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise VerificationError(what)
+
+
 def _choose_matching(field, X, D, B, target, b):
     """A b-dimensional subspace Y of X with B.Y = target, linearly disjoint
-    from D.  Depth-first search over the vectors of X, deterministic."""
+    from D.
+
+    With X' = {x in X : Bx in target}, Y is a complement inside X' of the
+    sum of (X' meet ker B) and (X' meet D).  B is injective on Y and maps
+    it into target, so dim Y <= b; where peel calls this, B kills
+    X' meet D, so B.Y = B.X' = target exactly when some matching subspace
+    exists."""
     n = X.n
-    candidates = list(subspace_vectors(X))[1:]  # all but the zero vector
-
-    def extend(chosen, start):
-        if len(chosen) == b:
-            Y = _span(field, n, chosen)
-            imgs = _span(field, n, [B.apply(v) for v in chosen])
-            if imgs == target:
-                return Y
-            return None
-        for idx in range(start, len(candidates)):
-            v = candidates[idx]
-            trial = chosen + [v]
-            Y = _span(field, n, trial)
-            if Y.dim != len(trial):
-                continue
-            if intersect(Y, D).dim != 0:
-                continue
-            imgs = _span(field, n, [B.apply(u) for u in trial])
-            if imgs.dim != len(trial) or not target.contains(imgs):
-                continue
-            got = extend(trial, idx + 1)
-            if got is not None:
-                return got
-        return None
-
-    Y = extend([], 0)
-    if Y is None:
-        raise AssertionError("no matching subspace found during peeling")
+    BX = B @ X.basis
+    sol = kernel(BX.hstack(-target.basis))
+    Xp = _span(field, n, [X.basis.apply(c[:X.dim])
+                          for c in sol.basis.columns()])
+    K = _span(field, n, [X.basis.apply(c)
+                         for c in kernel(BX).basis.columns()])
+    Y = complement(subspace_sum(K, intersect(Xp, D)), inside=Xp)
+    _check(Y.dim == b and intersect(Y, D).dim == 0
+           and image(B @ Y.basis) == target,
+           "no matching subspace found during peeling")
     return Y
 
 
@@ -128,26 +123,31 @@ class PeelResult:
         self.rest = rest
 
 
-def peel(f, m):
+def peel(f, m, P=None):
     """Split f = (N_m^(b_m) block) + (orthogonal rest) by an explicit basis
-    change; returns the change of basis together with both summands."""
+    change; returns the change of basis together with both summands.
+    P is the perp filtration of f, when the caller already has it."""
     _require_finite(f)
     field, B, n = f.field, f.gram, f.n
-    P = perp_filtration(f)
+    if P is None:
+        P = perp_filtration(f)
     t = type_of(f, P)
     b = t.b_m(m)
     if b == 0:
         raise ValueError(f"type has no N_{m} summand")
-    Pp = perp_prime_filtration(f)
+    # P'_i V descended to V for i <= m, the largest index read: over a
+    # finite field every piece descends, D_0 = V and D_i is the descent of
+    # the left orthogonal of D_{i-1}.
+    descended = [Subspace.full(field, n)]
+    for _ in range(m):
+        descended.append(descent_test(left_orthogonal(B, descended[-1])))
 
     def Ppd(i):
-        if i <= -1:
-            return Subspace.zero(field, n)
-        return Pp.descended_piece(i)
+        return descended[i] if i >= 0 else Subspace.zero(field, n)
 
     if m == 1:
         Vprime = intersect(P.piece(1), Ppd(1))
-        assert Vprime.dim == b
+        _check(Vprime.dim == b, "wrong invariant count while peeling")
         block_cols = Vprime.basis.columns()
         Vpp = complement(Vprime)
     else:
@@ -156,7 +156,7 @@ def peel(f, m):
         S_hi = intersect(P.piece(1), Ppd(m - eps - 1))
         S_lo = intersect(P.piece(1), Ppd(m + eps - 1))
         V1 = complement(S_lo, inside=S_hi)
-        assert V1.dim == b, "wrong invariant count while peeling"
+        _check(V1.dim == b, "wrong invariant count while peeling")
 
         # V_2: the dual subspace to the image W_1 of V_1 under beta-dual
         Q = Ppd(m + eps - 2)
@@ -167,20 +167,20 @@ def peel(f, m):
             return Qb.transpose().apply(B.transpose().apply(tw))
 
         W1 = _span(field, Q.dim, [dual_image(v) for v in V1.basis.columns()])
-        assert W1.dim == b
+        _check(W1.dim == b, "beta-dual image of V_1 has the wrong dimension")
         K = Ppd(m + eps - 1)  # descent of the kernel of beta-dual
         C1 = complement(subspace_sum(V1, K))
         C2 = complement(intersect(V1, K), inside=K)
         V1pp = subspace_sum(C1, C2)
         Wimg = _span(field, Q.dim,
                      [dual_image(v) for v in V1pp.basis.columns()])
-        assert intersect(Wimg, W1).dim == 0
+        _check(intersect(Wimg, W1).dim == 0, "dual images of V_1 meet")
         W1p = subspace_sum(Wimg, complement(subspace_sum(Wimg, W1)))
         ann = kernel(W1p.basis.transpose())
         V2_cols = [Qb.apply(c) for c in ann.basis.columns()]
         V2 = _span(field, n, V2_cols)
-        assert V2.dim == b
-        assert intersect(V2, Ppd(m - eps - 2)).dim == 0
+        _check(V2.dim == b and intersect(V2, Ppd(m - eps - 2)).dim == 0,
+               "V_2 is not a complement of the lower piece")
 
         blocks = {1: V1, 2: V2}
         Btw = twist_matrix(B, 1).transpose()
@@ -199,14 +199,14 @@ def peel(f, m):
         for i in range(1, m + 1):
             M = blocks[i].basis if M is None else M.hstack(blocks[i].basis)
         Vprime = image(M)
-        assert Vprime.dim == m * b, "peeled blocks are not disjoint"
+        _check(Vprime.dim == m * b, "peeled blocks are not disjoint")
 
         block_cols = _standardize_block(field, B, M, m, b)
         Vpp_twisted = total_orthogonal(f, Vprime)
         Vpp = descent_test(Vpp_twisted)
-        assert Vpp is not None, "total orthogonal does not descend"
+        _check(Vpp is not None, "total orthogonal does not descend")
 
-    assert Vpp.dim == n - m * b
+    _check(Vpp.dim == n - m * b, "orthogonal rest has the wrong dimension")
     cols = block_cols + Vpp.basis.columns()
     U = MatrixF(field, cols).transpose()
     G = twisted_congruence(B, U)
@@ -214,7 +214,7 @@ def peel(f, m):
         field, [jordan_gram(field, m)] * b) if b else MatrixF.zero(field, 0, 0)
     restG = G.submatrix(range(m * b, n), range(m * b, n))
     expect = MatrixF.block_diagonal(field, [blockG, restG])
-    assert G == expect, "peeled Gram is not block diagonal"
+    _check(G == expect, "peeled Gram is not block diagonal")
     return PeelResult(U, QBicForm(field, blockG), QBicForm(field, restG))
 
 
@@ -235,16 +235,16 @@ def _standardize_block(field, B, M, m, b):
 
     blocks = {i: unit_block(i) for i in range(1, m + 1)}
 
-    # recognition conditions, asserted before the final adjustment
-    assert kernel(G) == blocks[1], "V_1 is not the right kernel"
-    assert kernel(G.transpose()) == blocks[m], "V_m is not the left kernel"
+    # recognition conditions, checked before the final adjustment
+    _check(kernel(G) == blocks[1], "V_1 is not the right kernel")
+    _check(kernel(G.transpose()) == blocks[m], "V_m is not the left kernel")
     pair12 = G.submatrix(range(b), range(b, 2 * b))
-    assert pair12.is_invertible(), "beta_{1,2} is not an isomorphism"
+    _check(pair12.is_invertible(), "beta_{1,2} is not an isomorphism")
     Gtw = twist_matrix(G, 1).transpose()
     for i in range(2, m):
         lhs = image(G @ blocks[i + 1].basis)
         rhs = image(Gtw @ twist_matrix(blocks[i - 1].basis, 2))
-        assert lhs == rhs, "image matching fails in the middle range"
+        _check(lhs == rhs, "image matching fails in the middle range")
 
     # Gram-Schmidt-like adjustment of the even-indexed subspaces
     if m % 2 == 1:
@@ -254,13 +254,13 @@ def _standardize_block(field, B, M, m, b):
                 Vsub = subspace_sum(Vsub, blocks[i])
             new2k = intersect(Vsub,
                               right_orthogonal(G, twist_subspace(Vsub, 1)))
-            assert new2k.dim == b
+            _check(new2k.dim == b, "adjusted V_2k has the wrong dimension")
             updates = {2 * k: new2k}
             orth = right_orthogonal(G, twist_subspace(new2k, 1))
             for i in range(2 * k + 2, m + 1, 2):
                 Si = subspace_sum(blocks[2 * k + 1], blocks[i])
                 newi = intersect(Si, orth)
-                assert newi.dim == b
+                _check(newi.dim == b, "adjusted V_i has the wrong dimension")
                 updates[i] = newi
             blocks.update(updates)
     else:
@@ -277,7 +277,7 @@ def _standardize_block(field, B, M, m, b):
             else:
                 newk = intersect(S,
                                  right_orthogonal(G, twist_subspace(R, 1)))
-                assert newk.dim == b
+                _check(newk.dim == b, "adjusted V_2k has the wrong dimension")
                 updates[2 * k] = newk
         blocks.update(updates)
 
@@ -333,7 +333,7 @@ def orthonormalize_nonsingular(f, allow_extension=True):
             h = cand
             break
     if h is None:
-        raise AssertionError(
+        raise VerificationError(
             f"Hermitian vectors do not span within extensions of degree "
             f"{r_cap}")
     if h.r > 1 and not allow_extension:
@@ -348,7 +348,7 @@ def orthonormalize_nonsingular(f, allow_extension=True):
     scales = []
     for i in range(n):
         c = HA.rows[i][i]
-        assert not c.is_zero()
+        _check(not c.is_zero(), "diagonalized Hermitian Gram is singular")
         target = c.inverse()
         x = next(u for u in fq2.elements()
                  if not u.is_zero() and u ** (q + 1) == target)
@@ -356,7 +356,8 @@ def orthonormalize_nonsingular(f, allow_extension=True):
     D = MatrixF(fq2, [[scales[i] if i == j else fq2.zero()
                        for j in range(n)] for i in range(n)])
     A = A @ D
-    assert twisted_congruence(H, A) == MatrixF.identity(fq2, n)
+    _check(twisted_congruence(H, A) == MatrixF.identity(fq2, n),
+           "scaled Hermitian Gram is not the identity")
 
     # assemble the transform over K: columns are F_{q^2}-combinations of
     # the Hermitian basis vectors
@@ -366,8 +367,8 @@ def orthonormalize_nonsingular(f, allow_extension=True):
     U = Vmat @ A_K
     BK = h.gram_ext
     verified = twisted_congruence(BK, U) == MatrixF.identity(K, n)
-    assert verified, "orthonormalization certificate failed to verify"
-    return NormalFormCertificate(f, t, U, h.r, K, True)
+    _check(verified, "orthonormalization certificate failed to verify")
+    return NormalFormCertificate(f, t, U, h.r, K, verified)
 
 
 def _diagonalize_hermitian(H):
@@ -432,12 +433,14 @@ def normal_form(f, allow_extension=True):
     standard_gram(type_of(f))."""
     _require_finite(f)
     field, n = f.field, f.n
-    t = type_of(f)
+    P = perp_filtration(f)
+    t = type_of(f, P)
     U = MatrixF.identity(field, n)
     rest = f
     offset = 0
     for m in sorted(t.b):
-        res = peel(rest, m)
+        # P is the filtration of rest only while rest is still f
+        res = peel(rest, m, P if rest is f else None)
         lift = MatrixF.block_diagonal(
             field, [MatrixF.identity(field, offset), res.transform])
         U = U @ lift
@@ -474,8 +477,9 @@ def normal_form(f, allow_extension=True):
 
     target = standard_gram(t, K)
     verified = twisted_congruence(B_K, U_K) == target
-    assert verified, "normal-form certificate failed to verify"
-    return NormalFormCertificate(f, t, U_K, cert0.extension_degree, K, True)
+    _check(verified, "normal-form certificate failed to verify")
+    return NormalFormCertificate(f, t, U_K, cert0.extension_degree, K,
+                                 verified)
 
 
 def is_isomorphic(f, g, mode="geometric"):
@@ -503,6 +507,7 @@ def is_isomorphic(f, g, mode="geometric"):
         return {"verdict": "geometric-yes/rational-undetermined",
                 "type_from": str(tf), "type_to": str(tg)}
     A = cf.transform @ cg.transform.inverse()
-    assert twisted_congruence(f.gram, A) == g.gram
+    _check(twisted_congruence(f.gram, A) == g.gram,
+           "isomorphism witness does not carry f to g")
     return {"verdict": "yes", "type_from": str(tf), "type_to": str(tg),
             "witness": A}

@@ -6,7 +6,8 @@ on its symmetry, `moduli`, `specialize`, and `witness` work with the
 specialization order on types.  All reports are deterministic JSON.
 
 Exit codes: 0 success; 1 specialize verdict "no"/"unknown" under
---strict; 2 input error; 3 cost-guard refusal.
+--strict; 2 input error; 3 cost-guard refusal; 4 a computed certificate or
+an invariant of its construction failed its check (VerificationError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import CostGuardError
+from . import CostGuardError, VerificationError
 from .fields import parse_field_spec
 from .forms import (QBicForm, hermitian_gram, hermitian_space, parse_type,
                     type_report)
@@ -273,6 +274,9 @@ def main(argv=None):
     except CostGuardError as ex:
         print(f"cost guard: {ex}", file=sys.stderr)
         return 3
+    except VerificationError as ex:
+        print(f"verification failed: {ex}", file=sys.stderr)
+        return 4
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

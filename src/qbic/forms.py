@@ -137,12 +137,15 @@ class PerpPrimeFiltration:
         return S
 
     def descent_level(self, i):
+        """Minimal twist level P'_i descends to.  Beyond the stored range
+        P'_i is P'_j twisted i - j times, and each twist brings as many
+        q-th roots as it adds, so the level is that of P'_j."""
         if i < len(self.descent_levels):
             return self.descent_levels[i]
         j = i
         while j >= len(self.descent_levels):
             j -= 2
-        return self.descent_levels[j] + (i - j)
+        return self.descent_levels[j]
 
     def nu(self):
         return max(self.descent_levels)

@@ -1,14 +1,23 @@
+import time
+
 import pytest
 
 from conftest import random_invertible, rng_for
+from qbic import classify
 from qbic.fields import field_make
 from qbic.forms import QBicForm, parse_type, type_of
 from qbic.classify import (NeedsExtension, is_isomorphic, jordan_gram,
                            normal_form, standard_gram)
-from qbic.linalg import MatrixF, twisted_congruence
+from qbic.linalg import (MatrixF, Subspace, image, intersect,
+                         subspace_vectors, twisted_congruence)
+from qbic.moduli import enumerate_types
 
 GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
+GF16 = field_make(2, 2, 4)
+GF25 = field_make(5, 1, 2)
+GF256 = field_make(2, 4, 8)
+GF1024 = field_make(2, 5, 10)
 
 
 def form_of(text, field=GF4):
@@ -105,3 +114,92 @@ class TestIsomorphism:
         g = QBicForm(GF4, MatrixF(GF4, [[GF4.one()]]))
         out = is_isomorphic(f, g, mode="rational")
         assert out["verdict"] == "geometric-yes/rational-undetermined"
+
+
+def search_matching(field, X, D, B, target, b):
+    """Reference for classify._choose_matching: the depth-first search over
+    the vectors of X that peel used before the elimination.  Returns a
+    b-dimensional Y in X with B.Y = target and Y meet D = 0, or None."""
+    n = X.n
+    candidates = list(subspace_vectors(X))[1:]  # all but the zero vector
+
+    def span(cols):
+        return Subspace.from_columns(field, n, cols)
+
+    def extend(chosen, start):
+        if len(chosen) == b:
+            imgs = span([B.apply(v) for v in chosen])
+            return span(chosen) if imgs == target else None
+        for idx in range(start, len(candidates)):
+            trial = chosen + [candidates[idx]]
+            if span(trial).dim != len(trial):
+                continue
+            if intersect(span(trial), D).dim != 0:
+                continue
+            imgs = span([B.apply(u) for u in trial])
+            if imgs.dim != len(trial) or not target.contains(imgs):
+                continue
+            got = extend(trial, idx + 1)
+            if got is not None:
+                return got
+        return None
+
+    return extend([], 0)
+
+
+def conjugate(t, field, rng):
+    A = random_invertible(field, t.n, rng)
+    return QBicForm(field, twisted_congruence(standard_gram(t, field), A))
+
+
+def assert_normal_form(f, t):
+    cert = normal_form(f)
+    assert cert.verified and cert.target == t
+    assert cert.extension_degree == 1
+    assert twisted_congruence(f.gram, cert.transform) == \
+        standard_gram(t, f.field)
+
+
+class TestPeelByElimination:
+    def test_matches_the_search(self, monkeypatch):
+        calls = []
+        real = classify._choose_matching
+
+        def recording(field, X, D, B, target, b):
+            Y = real(field, X, D, B, target, b)
+            calls.append((field, X, D, B, target, b, Y))
+            return Y
+
+        monkeypatch.setattr(classify, "_choose_matching", recording)
+        rng = rng_for("peel-vs-search")
+        for n in range(1, 6):
+            for t in enumerate_types(n):
+                for _ in range(3):
+                    assert_normal_form(conjugate(t, GF4, rng), t)
+        # a block N_m makes m - 2 calls; 16 per round over the n <= 5 types
+        assert len(calls) == 3 * 16
+        for field, X, D, B, target, b, Y in calls:
+            assert search_matching(field, X, D, B, target, b) is not None
+            assert Y.dim == b and X.contains(Y)
+            assert intersect(Y, D).dim == 0
+            assert image(B @ Y.basis) == target
+
+    @pytest.mark.parametrize("field", [GF16, GF25, GF256],
+                             ids=["gf16", "gf25", "gf256"])
+    def test_round_trip_over_larger_fields(self, field):
+        rng = rng_for(f"peel-round-trip-{field.order}")
+        types = [t for n in range(1, 7) for t in enumerate_types(n)]
+        types += [parse_type(s) for s in ("N5", "N3^2", "1+N2^2+N4")]
+        for t in types:
+            assert_normal_form(conjugate(t, field, rng), t)
+
+    @pytest.mark.parametrize("field, text", [
+        (GF16, "1+N2+N5"), (GF1024, "N3^2"), (GF1024, "1+N2^2+N4"),
+        (GF25, "1+N2+N5")], ids=["gf16-1+N2+N5", "gf1024-N3^2",
+                                 "gf1024-1+N2^2+N4", "gf25-1+N2+N5"])
+    def test_former_search_blow_ups_take_under_a_second(self, field, text):
+        t = parse_type(text)
+        f = conjugate(t, field, rng_for(f"blow-up-{text}"))
+        t0 = time.perf_counter()
+        assert_normal_form(f, t)
+        assert time.perf_counter() - t0 < 1.0

@@ -90,6 +90,17 @@ class TestNormalFormCommand:
         code, out, err = run(capsys, "normal-form", rational_path)
         assert code == 2 and out == "" and "finite field" in err
 
+    def test_failed_certificate_exits_4(self, capsys, monkeypatch, n3_path):
+        from qbic import classify
+        from qbic.linalg import MatrixF
+
+        def broken(B, A):
+            return MatrixF.zero(B.field, A.ncols, A.ncols)
+
+        monkeypatch.setattr(classify, "twisted_congruence", broken)
+        code, out, err = run(capsys, "normal-form", n3_path)
+        assert code == 4 and out == "" and "verification failed" in err
+
 
 class TestAutCommand:
     def test_by_type(self, capsys):

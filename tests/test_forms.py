@@ -1,16 +1,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_form, rng_for
+from conftest import random_form, random_invertible, rng_for
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
                         perp_filtration, perp_prime_filtration, radical,
                         rank_corank, type_of, type_report)
 from qbic.classify import jordan_gram, standard_gram
-from qbic.linalg import MatrixF, intersect, twist_subspace
+from qbic.linalg import (MatrixF, Subspace, descent_test, intersect,
+                         left_orthogonal, twist_subspace, twisted_congruence)
+from qbic.moduli import enumerate_types
 
 GF4 = field_make(2, 1, 2)
+GF9 = field_make(3, 1, 2)
 RF4 = field_make(2, 1, 2, kind="rational-function")
 
 
@@ -95,6 +98,24 @@ class TestDescentIndex:
         for _ in range(30):
             f = random_form(GF4, rng.randint(1, 4), rng)
             assert nu_index(f) == 0
+
+    def test_descended_pieces_follow_the_recurrence(self):
+        # over a finite field every P'_i descends, and its descent to V is
+        # D_i = descent(left orthogonal of D_{i-1}), D_0 = V; this holds
+        # beyond the stored range of the filtration too
+        rng = rng_for("descended-pieces")
+        for field in (GF4, GF9):
+            for n in range(1, 5):
+                for t in enumerate_types(n):
+                    A = random_invertible(field, n, rng)
+                    f = QBicForm(field, twisted_congruence(
+                        standard_gram(t, field), A))
+                    pfilt = perp_prime_filtration(f)
+                    D = Subspace.full(field, n)
+                    for i in range(n + 4):
+                        assert pfilt.descent_level(i) == 0
+                        assert pfilt.descended_piece(i) == D
+                        D = descent_test(left_orthogonal(f.gram, D))
 
     def test_nu_zero_bound_cases(self):
         assert nu_zero_bound(parse_type("0+N5")) == 3   # all blocks odd
