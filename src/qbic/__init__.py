@@ -10,3 +10,10 @@ class CostGuardError(Exception):
 class VerificationError(Exception):
     """Raised when a computed certificate or an intermediate invariant of
     its construction fails its explicit check."""
+
+
+def _check(ok, what):
+    """Raise VerificationError(what) unless ok; unlike assert, the check
+    also runs under python -O."""
+    if not ok:
+        raise VerificationError(what)

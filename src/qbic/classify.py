@@ -10,13 +10,13 @@ transpose(U^[1]) . B . U equals the standard Gram matrix entrywise.
 
 from __future__ import annotations
 
-from . import VerificationError
+from . import VerificationError, _check
 from .fields import embed, frobenius
 from .forms import (QBicForm, hermitian_gram, hermitian_space,
                     perp_filtration, total_orthogonal, type_of,
                     TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
-                     intersect, kernel, left_orthogonal, pairing,
+                     intersect, kernel, left_orthogonal, pairing, rank,
                      right_orthogonal, subspace_sum, twist_matrix,
                      twist_subspace, twisted_congruence)
 
@@ -79,12 +79,6 @@ def _restricted_gram(B, M):
     """Gram of the restriction of beta to the column span of M, in the
     coordinates given by the columns."""
     return twist_matrix(M, 1).transpose() @ B @ M
-
-
-def _check(ok, what):
-    """Raise VerificationError unless ok; unlike assert, kept under -O."""
-    if not ok:
-        raise VerificationError(what)
 
 
 def _choose_matching(field, X, D, B, target, b):
@@ -322,9 +316,10 @@ def orthonormalize_nonsingular(f, allow_extension=True):
         return NormalFormCertificate(f, TypeSignature(0, {}),
                                      MatrixF.identity(field, 0), 1, field,
                                      True)
-    t = type_of(f)
-    if not t.is_nonsingular():
+    # a type has no N_m block exactly when its corank is 0
+    if rank(f.gram) != n:
         raise ValueError("form is singular")
+    t = TypeSignature(n, {})
     r_cap = max(2 * n, 4)
     h = None
     for r in range(1, r_cap + 1):

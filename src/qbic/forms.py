@@ -11,7 +11,9 @@ extensions.
 from __future__ import annotations
 
 import re
+import sys
 
+from . import VerificationError, _check
 from .fields import embed, extension_field
 from .linalg import (MatrixF, Subspace, descent_test, intersect, kernel,
                      left_orthogonal, pairing, rank, right_orthogonal,
@@ -93,7 +95,7 @@ def perp_filtration(f):
             length = step - 2
             break
         step += 1
-        assert step <= n + 3, "perp filtration failed to stabilize"
+        _check(step <= n + 3, "perp filtration failed to stabilize")
     p_plus = pieces[-1] if (len(pieces) - 2) % 2 == 0 else pieces[-2]
     p_minus = pieces[-1] if (len(pieces) - 2) % 2 == 1 else pieces[-2]
     return PerpFiltration(n, pieces, p_minus, p_plus, length)
@@ -131,9 +133,10 @@ class PerpPrimeFiltration:
             raise ValueError(f"piece {i} does not descend to V")
         S = self.piece_on_twist(i)
         for _ in range(i):
-            S2 = descent_test(S)
-            assert S2 is not None
-            S = S2
+            S = descent_test(S)
+            if S is None:
+                raise VerificationError(
+                    f"piece {i} has descent level 0 but does not descend")
         return S
 
     def descent_level(self, i):
@@ -178,7 +181,7 @@ def perp_prime_filtration(f):
                 length = step - 2
                 break
         step += 1
-        assert step <= n + 3, "perp-prime filtration failed to stabilize"
+        _check(step <= n + 3, "perp-prime filtration failed to stabilize")
     return PerpPrimeFiltration(n, pieces, levels, length)
 
 
@@ -249,7 +252,8 @@ class TypeSignature:
                 continue
             bm = self.b[m]
             terms.append(f"N{m}" if bm == 1 else f"N{m}^{bm}")
-        return "+".join(terms) if terms else "(empty)"
+        # interned: every report of a type shares one string
+        return sys.intern("+".join(terms)) if terms else "(empty)"
 
     def __repr__(self):
         return f"TypeSignature({self})"
@@ -302,7 +306,7 @@ def type_of(f, filt=None):
             b[m] = bm
     a = filt.p_plus.dim - filt.p_minus.dim
     t = TypeSignature(a, b)
-    assert t.n == n, "type dimensions do not add up"
+    _check(t.n == n, "type dimensions do not add up")
     return t
 
 
@@ -482,8 +486,8 @@ def hermitian_space(f, r):
         if grew:
             basis.append(v)
     expected = len(ker) // fq2.k
-    assert len(ker) % fq2.k == 0 and len(basis) == expected, \
-        "Hermitian solution space is not F_{q^2}-linear"
+    _check(len(ker) % fq2.k == 0 and len(basis) == expected,
+           "Hermitian solution space is not F_{q^2}-linear")
     return HermitianSpace(f, r, K, emb, fq2, fq2_emb, basis, B)
 
 
@@ -495,9 +499,8 @@ def hermitian_gram(h):
         row = []
         for vj in h.basis:
             val = h.fq2_embedding.preimage(pairing(h.gram_ext, vi, vj))
-            if val is None:
-                raise AssertionError("Hermitian pairing value outside "
-                                     "F_{q^2}")
+            _check(val is not None,
+                   "Hermitian pairing value outside F_{q^2}")
             row.append(val)
         rows.append(row)
     return MatrixF(h.fq2, rows)

@@ -2,6 +2,13 @@
 extras: entrywise Frobenius twist, twisted congruence, subspace lattice
 operations, one-sided orthogonals, and Frobenius-descent testing.
 
+A MatrixF stores its entries once, as the scalars the elimination loop
+works on: the int encodings of a finite field's elements, or the
+FieldElements of GF(q)(t).  Every operation here runs on those scalars.
+FieldElements are made only at the boundary: the public constructor
+takes them, and `rows`, `columns()`, indexing, `apply`, `solve` and
+`pairing` hand them out.
+
 Subspaces are held in reduced column echelon form (pivot rows strictly
 increasing, pivots 1, pivot rows zero elsewhere), so subspace equality is
 matrix equality.  Pivot selection is first-nonzero in row order, which makes
@@ -10,6 +17,7 @@ every output deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import namedtuple
@@ -18,34 +26,54 @@ from .fields import FieldElement, frobenius, qth_root
 
 
 class MatrixF:
-    """An immutable dense matrix of FieldElements, row-major."""
+    """An immutable dense matrix over a field, row-major.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    The entries are held in `_e`, a tuple of row tuples of the field's
+    scalars (see the module docstring).  `rows` is the same matrix as
+    FieldElements, built on first read and cached.  MatrixF(field, rows)
+    takes rows of FieldElements of `field` and unwraps them once; the
+    module's own results are built by `_mat` from scalars, without a copy.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_e", "_rows")
 
     def __init__(self, field, rows, ncols=None):
+        e = tuple(_scalars(field, r) for r in rows)
+        if e:
+            ncols = len(e[0])
+        elif ncols is None:
+            ncols = 0
+        if any(len(r) != ncols for r in e):
+            raise ValueError("ragged matrix rows")
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        if self.rows:
-            self.ncols = len(self.rows[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix rows")
+        self.nrows = len(e)
+        self.ncols = ncols
+        self._e = e
+        self._rows = None
+
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples of FieldElements."""
+        rows = self._rows
+        if rows is None:
+            make = _ops(self.field).make
+            rows = self._rows = (tuple(tuple(map(make, r)) for r in self._e)
+                                 if make else self._e)
+        return rows
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def identity(field, n):
-        one, zero = field.one(), field.zero()
-        return MatrixF(field, [[one if i == j else zero for j in range(n)]
-                               for i in range(n)])
+        ops = _ops(field)
+        one, zero = ops.one, ops.zero
+        return _mat(field, tuple(tuple(one if i == j else zero
+                                       for j in range(n)) for i in range(n)),
+                    n)
 
     @staticmethod
     def zero(field, nrows, ncols):
-        z = field.zero()
-        return MatrixF(field, [[z] * ncols for _ in range(nrows)])
+        return _mat(field, ((_ops(field).zero,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def from_int_rows(field, rows):
@@ -55,48 +83,34 @@ class MatrixF:
     @staticmethod
     def block_diagonal(field, blocks):
         n = sum(b.nrows for b in blocks)
-        z = field.zero()
-        rows = [[z] * n for _ in range(n)]
+        zero = _ops(field).zero
+        rows = []
         off = 0
         for b in blocks:
             if b.nrows != b.ncols:
                 raise ValueError("block_diagonal needs square blocks")
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    rows[off + i][off + j] = b.rows[i][j]
+            if b.field is not field:
+                raise ValueError("field mismatch")
+            left, right = (zero,) * off, (zero,) * (n - off - b.ncols)
+            rows.extend(left + r + right for r in b._e)
             off += b.nrows
-        return MatrixF(field, rows)
+        return _mat(field, tuple(rows), n)
 
     # -- basic algebra -------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, MatrixF) and self.field == other.field
-                and self.rows == other.rows)
+        return (isinstance(other, MatrixF) and self.field is other.field
+                and self.ncols == other.ncols and self._e == other._e)
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.ncols, self._e))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return _element(self.field, self._e[i][j])
 
     def transpose(self):
-        return MatrixF(self.field,
-                       [[self.rows[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)], ncols=self.nrows)
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        return MatrixF(self.field,
-                       [[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatrixF(self.field, [[-a for a in r] for r in self.rows])
+        return _mat(self.field, _transposed(self._e, self.ncols), self.nrows)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -104,35 +118,39 @@ class MatrixF:
         F = self.field
         if other.field is not F:
             raise ValueError("field mismatch")
-        cols, ops = _unwrap(F, other.transpose().rows), _ops(F)
-        out = [_dot_rows(r, cols, ops) for r in _unwrap(F, self.rows)]
-        return MatrixF(F, _wrap(F, out), ncols=other.ncols)
+        cols, ops = _transposed(other._e, other.ncols), _ops(F)
+        return _mat(F, tuple(_dot_rows(r, cols, ops) for r in self._e),
+                    other.ncols)
 
-    def scale(self, c):
-        return MatrixF(self.field, [[c * a for a in r] for r in self.rows])
+    def __neg__(self):
+        neg = _ops(self.field).neg
+        return _mat(self.field, tuple(tuple(map(neg, r)) for r in self._e),
+                    self.ncols)
 
     def apply(self, vec):
         """Matrix times a column vector given as a list of elements."""
         F = self.field
-        out = _dot_rows(_unwrap(F, [vec])[0], _unwrap(F, self.rows), _ops(F))
-        return _wrap(F, [out])[0]
+        return _elements(F, _dot_rows(_scalars(F, vec), self._e, _ops(F)))
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("dimension mismatch")
-        return MatrixF(self.field,
-                       [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                       ncols=self.ncols + other.ncols)
+        if other.field is not self.field:
+            raise ValueError("field mismatch")
+        return _mat(self.field,
+                    tuple(r1 + r2 for r1, r2 in zip(self._e, other._e)),
+                    self.ncols + other.ncols)
 
     def columns(self):
-        return [[self.rows[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)]
+        F = self.field
+        return [_elements(F, c) for c in _transposed(self._e, self.ncols)]
 
     def submatrix(self, row_idx, col_idx):
         col_idx = list(col_idx)
-        return MatrixF(self.field,
-                       [[self.rows[i][j] for j in col_idx] for i in row_idx],
-                       ncols=len(col_idx))
+        e = self._e
+        return _mat(self.field,
+                    tuple(tuple(e[i][j] for j in col_idx) for i in row_idx),
+                    len(col_idx))
 
     def is_invertible(self):
         return self.nrows == self.ncols and rank(self) == self.nrows
@@ -141,57 +159,96 @@ class MatrixF:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = self.hstack(MatrixF.identity(self.field, n))
-        red, pivots = _rref(aug)
-        if pivots != list(range(n)):
+        ops = _ops(self.field)
+        one, zero = ops.one, ops.zero
+        aug = [list(r) + [one if i == j else zero for j in range(n)]
+               for i, r in enumerate(self._e)]
+        if _eliminate(aug, n, ops) != list(range(n)):
             raise ValueError("matrix is singular")
-        return MatrixF(self.field, [r[n:] for r in red.rows])
+        return _mat(self.field, tuple(tuple(r[n:]) for r in aug), n)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.rows)
         return f"MatrixF[{body}]"
 
 
+def _mat(field, e, ncols):
+    """The MatrixF whose stored scalars are e, a tuple of row tuples of
+    length ncols, taken as they are."""
+    M = object.__new__(MatrixF)
+    M.field = field
+    M.nrows = len(e)
+    M.ncols = ncols
+    M._e = e
+    M._rows = None
+    return M
+
+
+def _transposed(e, ncols):
+    """The row tuples of the transpose of rows e with ncols columns."""
+    return tuple(zip(*e)) if e else ((),) * ncols
+
+
 # ---------------------------------------------------------------------------
-# row reduction core
+# scalars
 #
-# Finite-field matrices are computed on the int encodings of their
-# entries with the field's table arithmetic, unwrapped and wrapped once per
-# operation; GF(q)(t) runs the same loops on FieldElements, and the GF(p)
-# systems of the field and Hermitian code on plain ints mod p.
+# A finite field's scalars are the int encodings of its elements, with the
+# field's table arithmetic; GF(q)(t)'s are its FieldElements; the GF(p)
+# systems of the field and Hermitian code run on plain ints mod p.  Zero
+# must be the only false scalar.
 
-_Ops = namedtuple("_Ops", "inv mul add neg zero one")
+_Ops = namedtuple("_Ops", "inv mul add neg zero one make")
 
 
+@functools.cache
 def _ops(F):
-    """The scalar ops on what _unwrap gives for field F."""
+    """The scalar ops of field F, built once per descriptor.  `make`
+    wraps a scalar as a FieldElement, None where scalars are elements."""
     if F.kind == "finite":
-        return _Ops(F._finv, F._fmul, F._fadd, F._fneg, 0, 1)
-    return _Ops(FieldElement.inverse, operator.mul, operator.add,
-                operator.neg, F.zero(), F.one())
+        return _Ops(F._finv, F._fmul, F._fadd, F._fneg, 0, 1,
+                    functools.partial(FieldElement, F))
+    return _Ops(operator.methodcaller("inverse"), operator.mul, operator.add,
+                operator.neg, F.zero(), F.one(), None)
 
 
+@functools.cache
 def _gfp_ops(p):
     return _Ops(lambda a: pow(a, p - 2, p), lambda a, b: a * b % p,
-                lambda a, b: (a + b) % p, lambda a: -a % p, 0, 1)
+                lambda a, b: (a + b) % p, lambda a: -a % p, 0, 1, None)
 
 
-def _unwrap(F, rows):
-    """Fresh mutable rows of the scalars the loops work on."""
+def _scalars(F, vec):
+    """The scalars of a sequence of FieldElements of F, as a tuple."""
     if F.kind == "finite":
-        return [[x.val for x in r] for r in rows]
-    return [list(r) for r in rows]
+        out = tuple(x.val for x in vec if x.field is F)
+    else:
+        out = tuple(x for x in vec if x.field is F)
+    if len(out) != len(vec):
+        raise ValueError("field mismatch")
+    return out
 
 
-def _wrap(F, rows):
+def _elements(F, vals):
+    """The FieldElements of a sequence of scalars of F, as a list."""
+    make = _ops(F).make
+    return list(map(make, vals)) if make else list(vals)
+
+
+def _element(F, v):
+    make = _ops(F).make
+    return make(v) if make else v
+
+
+def _frob(F, i):
+    """The scalar map x -> x^(q^i) of F."""
     if F.kind == "finite":
-        make = F._make
-        return [[make(v) for v in r] for r in rows]
-    return rows
+        fpow, n = F._fpow, F.q ** i
+        return lambda a: fpow(a, n)
+    return lambda a: frobenius(a, i)
 
 
 def _dot_rows(row, cols, ops):
-    """The dot products of one row with each column."""
+    """The dot products of one row with each column, as a tuple."""
     mul, add = ops.mul, ops.add
     out = []
     for c in cols:
@@ -200,13 +257,17 @@ def _dot_rows(row, cols, ops):
             if a and b:
                 acc = add(acc, mul(a, b))
         out.append(acc)
-    return out
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# row reduction core
 
 
 def _eliminate(rows, ncols, ops):
-    """Reduce the list of rows in place to reduced row echelon form and
-    return the pivot columns.  The pivot of a column is its first nonzero
-    entry in row order.  Zero must be the only false scalar."""
+    """Reduce the list of rows in place to reduced row echelon form in
+    their first ncols columns and return the pivot columns.  The pivot of
+    a column is its first nonzero entry in row order."""
     inv, mul, add, neg = ops.inv, ops.mul, ops.add, ops.neg
     nrows = len(rows)
     pivots = []
@@ -269,28 +330,32 @@ def _gfp_solve(cols, target, p, nrows):
     return _solve_rows(aug, len(cols), _gfp_ops(p))
 
 
-def _rref(M):
-    """Reduced row echelon form; returns (MatrixF, pivot column list)."""
-    F = M.field
-    rows = _unwrap(F, M.rows)
-    pivots = _eliminate(rows, M.ncols, _ops(F))
-    return MatrixF(F, _wrap(F, rows), ncols=M.ncols), pivots
-
-
 def rank(M):
-    return len(_eliminate(_unwrap(M.field, M.rows), M.ncols, _ops(M.field)))
+    return len(_eliminate([list(r) for r in M._e], M.ncols, _ops(M.field)))
 
 
 def kernel(M):
     """Right null space {x : Mx = 0} as a Subspace of k^ncols."""
-    F = M.field
-    cols = _kernel_rows(_unwrap(F, M.rows), M.ncols, _ops(F))
-    return Subspace.from_columns(F, M.ncols, _wrap(F, cols))
+    return _null_space(M.field, M.ncols, M._e)
+
+
+def _null_space(F, n, rows):
+    """The Subspace of k^n killed by the given rows of scalars.
+
+    The rows are reduced with their columns in reverse order.  Then each
+    null vector _kernel_rows gives has its 1 in a free column and its
+    other entries in pivot columns to the right of it (left of it before
+    the reversal), and the free columns hold zeros in every other vector:
+    reversed back, the vectors are the reduced echelon basis as they stand.
+    """
+    null = _kernel_rows([list(r[::-1]) for r in rows], n, _ops(F))
+    return _from_echelon(F, n, [tuple(v[::-1]) for v in reversed(null)])
 
 
 def image(M):
     """Column span of M as a Subspace of k^nrows."""
-    return Subspace.from_columns(M.field, M.nrows, M.columns())
+    return _span(M.field, M.nrows,
+                 [list(c) for c in _transposed(M._e, M.ncols)])
 
 
 def solve(M, b):
@@ -298,11 +363,11 @@ def solve(M, b):
     if len(b) != M.nrows:
         raise ValueError("dimension mismatch")
     F = M.field
-    x = _solve_rows(_unwrap(F, [r + (v,) for r, v in zip(M.rows, b)]),
+    x = _solve_rows([list(r) + [v] for r, v in zip(M._e, _scalars(F, b))],
                     M.ncols, _ops(F))
     if x is None:
         raise ValueError("inconsistent linear system")
-    return _wrap(F, [x])[0]
+    return _elements(F, x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +387,11 @@ class Subspace:
     @staticmethod
     def from_columns(field, n, cols):
         """Span of the given column vectors (lists of elements)."""
-        if not cols:
-            return Subspace(field, n, MatrixF(field, [[] for _ in range(n)]))
-        asrows = MatrixF(field, cols)  # each spanning vector as a row
-        red, pivots = _rref(asrows)
-        keep = [red.rows[i] for i in range(len(pivots))]
-        basis = MatrixF(field, keep, ncols=n).transpose()
-        return Subspace(field, n, basis)
+        return _span(field, n, [list(_scalars(field, c)) for c in cols])
 
     @staticmethod
     def zero(field, n):
-        return Subspace.from_columns(field, n, [])
+        return _from_echelon(field, n, [])
 
     @staticmethod
     def full(field, n):
@@ -353,53 +412,75 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.n})"
 
     def contains_vector(self, vec):
-        if all(v.is_zero() for v in vec):
-            return True
-        try:
-            solve(self.basis, vec)
-            return True
-        except ValueError:
-            return False
+        return self.contains(Subspace.from_columns(self.field, self.n, [vec]))
 
     def contains(self, other):
-        return all(self.contains_vector(c) for c in other.basis.columns())
+        if other.n != self.n:
+            raise ValueError("ambient dimension mismatch")
+        return subspace_sum(self, other).dim == self.dim
+
+
+def _vectors(S):
+    """The echelon basis vectors of S as fresh mutable rows."""
+    return [list(c) for c in _transposed(S.basis._e, S.dim)]
+
+
+def _from_echelon(F, n, vecs):
+    """The Subspace whose reduced echelon basis vectors are vecs."""
+    return Subspace(F, n, _mat(F, _transposed(vecs, n), len(vecs)))
+
+
+def _span(F, n, vecs):
+    """The span of vecs, mutable rows of n scalars (reduced in place)."""
+    r = len(_eliminate(vecs, n, _ops(F)))
+    return _from_echelon(F, n, [tuple(v) for v in vecs[:r]])
 
 
 def subspace_vectors(S):
     """Every vector of S over a finite field, the zero vector first, in a
     fixed order: the coefficient tuples on the echelon basis run through
-    itertools.product over the field's elements."""
-    field = S.field
-    cols = S.basis.columns()
-    scalars = list(field.elements())
-    for coeffs in itertools.product(scalars, repeat=len(cols)):
-        vec = [field.zero()] * S.n
-        for c, col in zip(coeffs, cols):
-            if not c.is_zero():
-                vec = [a + c * b for a, b in zip(vec, col)]
-        yield vec
+    itertools.product over the field's elements in encoding order."""
+    F = S.field
+    if F.kind != "finite":
+        raise ValueError("cannot enumerate a rational function field")
+    ops = _ops(F)
+    mul, add = ops.mul, ops.add
+    vecs = _vectors(S)
+    for coeffs in itertools.product(range(F.order), repeat=len(vecs)):
+        vec = [0] * S.n
+        for c, col in zip(coeffs, vecs):
+            if c:
+                vec = [add(a, mul(c, b)) for a, b in zip(vec, col)]
+        yield _elements(F, vec)
 
 
 def subspace_sum(S1, S2):
     if S1.n != S2.n:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_columns(S1.field, S1.n,
-                                 S1.basis.columns() + S2.basis.columns())
+    if S2.dim == 0 or S1.dim == S1.n:
+        return S1
+    if S1.dim == 0 or S2.dim == S2.n:
+        return S2
+    return _span(S1.field, S1.n, _vectors(S1) + _vectors(S2))
 
 
 def intersect(S1, S2):
-    """Intersection via the kernel of the stacked system [B1 | -B2]."""
+    """Intersection by Zassenhaus's algorithm: reduce the rows (u | u) for
+    the basis u of S1 and (w | 0) for the basis w of S2.  The rows whose
+    pivot lies in the right half have a zero left half, and their right
+    halves are the reduced echelon basis of the intersection."""
     if S1.n != S2.n:
         raise ValueError("ambient dimension mismatch")
-    if S1.dim == 0 or S2.dim == 0:
-        return Subspace.zero(S1.field, S1.n)
-    stacked = S1.basis.hstack(-S2.basis)
-    ker = kernel(stacked)
-    cols = []
-    for kv in ker.basis.columns():
-        coeffs = kv[:S1.dim]
-        cols.append(S1.basis.apply(coeffs))
-    return Subspace.from_columns(S1.field, S1.n, cols)
+    n = S1.n
+    if S1.dim == 0 or S2.dim == n:
+        return S1
+    if S2.dim == 0 or S1.dim == n:
+        return S2
+    zeros = [_ops(S1.field).zero] * n
+    rows = [u + u for u in _vectors(S1)] + [w + zeros for w in _vectors(S2)]
+    pivots = _eliminate(rows, 2 * n, _ops(S1.field))
+    return _from_echelon(S1.field, n, [tuple(r[n:]) for r, pc
+                                       in zip(rows, pivots) if pc >= n])
 
 
 def quotient_dim(S1, S2):
@@ -412,20 +493,23 @@ def quotient_dim(S1, S2):
 def complement(S, inside=None):
     """A deterministic complement of S inside `inside` (default: k^n).
 
-    Completes the echelon basis of S by coordinate vectors / basis columns
-    of the ambient space, scanning in index order.
+    Completes the echelon basis of S by the basis columns of the ambient
+    space, scanning in index order: one reduction of [S | ambient basis],
+    whose pivot columns past S are the ambient columns outside the span of
+    S and the columns before them.  Those columns are part of the ambient
+    echelon basis, hence already the complement's echelon basis.
     """
     amb = inside if inside is not None else Subspace.full(S.field, S.n)
-    cur = S
-    chosen = []
-    for cand in amb.basis.columns():
-        if cur.dim == amb.dim:
-            break
-        trial = subspace_sum(cur, Subspace.from_columns(S.field, S.n, [cand]))
-        if trial.dim > cur.dim:
-            chosen.append(cand)
-            cur = trial
-    return Subspace.from_columns(S.field, S.n, chosen)
+    if amb.n != S.n:
+        raise ValueError("ambient dimension mismatch")
+    d = S.dim
+    rows = [list(r + a) for r, a in zip(S.basis._e, amb.basis._e)]
+    pivots = _eliminate(rows, d + amb.dim, _ops(S.field))
+    if len(pivots) != amb.dim:
+        raise ValueError("subspace is not inside the ambient space")
+    return Subspace(S.field, S.n,
+                    amb.basis.submatrix(range(S.n),
+                                        [c - d for c in pivots if c >= d]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +520,8 @@ def twist_matrix(M, i):
     """Entrywise q^i-power Frobenius."""
     if i == 0:
         return M
-    return MatrixF(M.field,
-                   [[frobenius(a, i) for a in r] for r in M.rows])
+    tw = _frob(M.field, i)
+    return _mat(M.field, tuple(tuple(map(tw, r)) for r in M._e), M.ncols)
 
 
 def twist_subspace(S, i):
@@ -449,11 +533,11 @@ def twist_subspace(S, i):
 
 def pairing(B, u, v):
     """beta(u, v) = transpose(u^[1]) . B . v."""
-    acc = B.field.zero()
-    for a, c in zip(u, B.apply(v)):
-        if a and c:
-            acc = acc + frobenius(a, 1) * c
-    return acc
+    F = B.field
+    ops = _ops(F)
+    u1 = tuple(map(_frob(F, 1), _scalars(F, u)))
+    Bv = _dot_rows(_scalars(F, v), B._e, ops)
+    return _element(F, _dot_rows(u1, (Bv,), ops)[0])
 
 
 def twisted_congruence(B, A):
@@ -466,37 +550,48 @@ def twisted_congruence(B, A):
 
 
 def left_orthogonal(B, S):
-    """{w : transpose(w) . B . s = 0 for all s in S}."""
+    """{w : transpose(w) . B . s = 0 for all s in S}: the null space of
+    the rows (B s)^T."""
     if B.nrows != B.ncols or S.n != B.ncols:
         raise ValueError("dimension mismatch")
     if S.dim == 0:
         return Subspace.full(B.field, B.nrows)
-    return kernel((B @ S.basis).transpose())
+    ops = _ops(B.field)
+    return _null_space(B.field, B.nrows,
+                       [_dot_rows(s, B._e, ops) for s in _vectors(S)])
 
 
 def right_orthogonal(B, T):
-    """{v : transpose(t) . B . v = 0 for all t in T}."""
+    """{v : transpose(t) . B . v = 0 for all t in T}: the null space of
+    the rows t^T B."""
     if B.nrows != B.ncols or T.n != B.nrows:
         raise ValueError("dimension mismatch")
     if T.dim == 0:
         return Subspace.full(B.field, B.ncols)
-    return kernel(T.basis.transpose() @ B)
+    ops = _ops(B.field)
+    cols = _transposed(B._e, B.ncols)
+    return _null_space(B.field, B.ncols,
+                       [_dot_rows(t, cols, ops) for t in _vectors(T)])
 
 
 def descent_test(S):
     """The subspace S' with twist(S', 1) = S, or None when S does not
     descend.  Works entrywise on the echelon basis: the twist of a reduced
     echelon basis is again reduced echelon with the same pivots."""
-    rooted = []
-    for r in S.basis.rows:
-        row = []
-        for a in r:
-            y = qth_root(a)
-            if y is None:
+    F = S.field
+    if F.kind == "finite":
+        # the Frobenius is onto: the root is x^(p^(k-e))
+        fpow, n = F._fpow, F.p ** (F.k - F.e)
+        rooted = tuple(tuple(fpow(a, n) for a in r) for r in S.basis._e)
+    else:
+        rooted = []
+        for r in S.basis._e:
+            row = tuple(map(qth_root, r))
+            if None in row:
                 return None
-            row.append(y)
-        rooted.append(row)
-    return Subspace(S.field, S.n, MatrixF(S.field, rooted))
+            rooted.append(row)
+        rooted = tuple(rooted)
+    return Subspace(F, S.n, _mat(F, rooted, S.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import logging
 from collections import deque
 
-from . import CostGuardError
+from . import CostGuardError, VerificationError, _check
 from .fields import evaluate_at_zero, field_make
 from .forms import QBicForm, TypeSignature, type_of
 from .auts import group_dim
@@ -302,7 +302,10 @@ def generator_step(t, verify_f6=True):
     results = []
 
     def emit(new, family, s, tp):
-        assert necessary(t, new), (t, new, family, s, tp)
+        if not necessary(t, new):
+            raise VerificationError(
+                f"move {t} ~> {new} (family {family}, s={s}, t={tp}) "
+                f"violates the necessary predicate")
         results.append((new, family, s, tp))
 
     def moved(da, removals, additions):
@@ -512,7 +515,7 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
     for i in range(m):
         for j in range(m):
             if i != j and reach[i][j]:
-                assert not reach[j][i], "specialization order has a 2-cycle"
+                _check(not reach[j][i], "specialization order has a 2-cycle")
 
     if restrict is not None:
         chosen = []
@@ -540,7 +543,10 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
                 if any(k != i and k != j and reach[idx[i]][idx[k]]
                        and reach[idx[k]][idx[j]] for k in range(len(nodes))):
                     continue
-                assert src.stratum_dim > dst.stratum_dim
+                if src.stratum_dim <= dst.stratum_dim:
+                    raise VerificationError(
+                        f"edge {src.t} -> {dst.t} does not lower the "
+                        f"stratum dimension")
                 evidence = ""
                 if sufficient(src.t, dst.t):
                     evidence += "S"

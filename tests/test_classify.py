@@ -203,3 +203,18 @@ class TestPeelByElimination:
         t0 = time.perf_counter()
         assert_normal_form(f, t)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestOrthonormalize:
+    def test_nonsingular_type_from_the_rank(self):
+        rng = rng_for("orthonormalize")
+        for n in range(1, 4):
+            f = conjugate(parse_type(f"1^{n}"), GF9, rng)
+            cert = classify.orthonormalize_nonsingular(f)
+            assert cert.verified and cert.target == type_of(f)
+
+    @pytest.mark.parametrize("text", ["0", "N2", "1+N3", "0+1^2"])
+    def test_singular_forms_are_refused(self, text):
+        f = conjugate(parse_type(text), GF4, rng_for(f"singular-{text}"))
+        with pytest.raises(ValueError, match="form is singular"):
+            classify.orthonormalize_nonsingular(f)

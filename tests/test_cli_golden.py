@@ -71,3 +71,15 @@ def test_normal_forms_under_optimize():
         plain, opt = _run_cli([], argv), _run_cli(["-O"], argv)
         assert plain.returncode == opt.returncode == code, cid
         assert opt.stdout == plain.stdout, cid
+
+
+@pytest.mark.parametrize("command", ["type", "hermitian"])
+def test_reports_under_optimize(command):
+    # the filtration, type and Hermitian checks in forms are explicit as
+    # well: under -O each report is the recorded plain run's output
+    for cid, argv, code, nf in TABLE:
+        if argv[0] != command:
+            continue
+        opt = _run_cli(["-O"], workloads.cli_argv(argv))
+        assert opt.returncode == code == GOLDEN[cid]["exit"], cid
+        assert opt.stdout == GOLDEN[cid]["stdout"], cid

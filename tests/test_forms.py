@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_form, random_invertible, rng_for
+from qbic import VerificationError, forms
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
@@ -205,3 +206,17 @@ class TestTypeReport:
     def test_nonsingular_report(self):
         rep = type_report(form_of("1^3"))
         assert rep["b"] == {} and rep["nu0"] is None
+
+
+class TestExplicitChecks:
+    """The invariant checks raise VerificationError, also under -O."""
+
+    def test_type_dimensions_must_add_up(self):
+        with pytest.raises(VerificationError, match="do not add up"):
+            type_of(form_of("1+N2"), perp_filtration(form_of("N2")))
+
+    def test_descended_piece_must_descend(self, monkeypatch):
+        pfilt = perp_prime_filtration(form_of("N3"))
+        monkeypatch.setattr(forms, "descent_test", lambda S: None)
+        with pytest.raises(VerificationError, match="does not descend"):
+            pfilt.descended_piece(2)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbic.fields import field_make, frobenius
+from qbic.fields import field_make, frobenius, qth_root
 from qbic.linalg import (MatrixF, Subspace, complement, descent_test, image,
                          intersect, kernel, left_orthogonal,
                          parse_matrix_file, format_matrix_file, quotient_dim,
@@ -9,6 +9,10 @@ from qbic.linalg import (MatrixF, Subspace, complement, descent_test, image,
                          twist_matrix, twist_subspace, twisted_congruence)
 
 GF4 = field_make(2, 1, 2)
+GF9 = field_make(3, 1, 2)
+GF25 = field_make(5, 1, 2)
+GF256 = field_make(2, 4, 8)
+GF2_18 = field_make(2, 1, 18)  # above TABLE_CAP: polynomial arithmetic
 RF4 = field_make(2, 1, 2, kind="rational-function")
 
 
@@ -187,3 +191,256 @@ class TestMatrixFiles:
             parse_matrix_file("field: 2^2 q=2\nn: 2\n0 0\n0\n")
         with pytest.raises(ValueError, match="entry 1"):
             parse_matrix_file("field: 2^2 q=2\nn: 1\n!\n")
+
+
+# ---------------------------------------------------------------------------
+# the FieldElement-level reference: matrix products, row reduction and
+# kernels written on field elements, which every operation on stored
+# scalars must agree with; matrices here are lists of rows
+
+
+def ref_matmul(field, A, B, ncols):
+    return [[sum((a * B[k][j] for k, a in enumerate(row)), field.zero())
+             for j in range(ncols)] for row in A]
+
+
+def ref_rref(rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows))
+                    if not rows[i][c].is_zero()), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        s = rows[r][c].inverse()
+        rows[r] = [s * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def ref_span(n, vecs):
+    """The reduced echelon basis vectors of the span of vecs."""
+    red, pivots = ref_rref(vecs, n)
+    return red[:len(pivots)]
+
+
+def ref_kernel(field, rows, ncols):
+    red, pivots = ref_rref(rows, ncols)
+    vecs = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -red[pr][fc]
+        vecs.append(vec)
+    return ref_span(ncols, vecs)
+
+
+def ref_intersect(field, n, U, W):
+    """The intersection of the spans of U and W through the kernel of the
+    stacked system [U | -W]."""
+    rows = [[u[i] for u in U] + [-w[i] for w in W] for i in range(n)]
+    vecs = []
+    for c in ref_kernel(field, rows, len(U) + len(W)):
+        vec = [field.zero()] * n
+        for a, u in zip(c, U):
+            vec = [x + a * y for x, y in zip(vec, u)]
+        vecs.append(vec)
+    return ref_span(n, vecs)
+
+
+def loop_complement(S, inside=None):
+    """complement as one subspace_sum per ambient basis column."""
+    amb = inside if inside is not None else Subspace.full(S.field, S.n)
+    cur = S
+    chosen = []
+    for cand in amb.basis.columns():
+        if cur.dim == amb.dim:
+            break
+        trial = subspace_sum(cur, Subspace.from_columns(S.field, S.n, [cand]))
+        if trial.dim > cur.dim:
+            chosen.append(cand)
+            cur = trial
+    return Subspace.from_columns(S.field, S.n, chosen)
+
+
+LADDER = [GF4, GF9, GF25, GF256, GF2_18, RF4]
+LADDER_IDS = ["gf4", "gf9", "gf25", "gf256", "gf2^18", "gf4t"]
+
+
+def element(field):
+    if field.kind == "finite":
+        # 0 and 1 often, so that ranks drop and pivots move
+        return st.one_of(st.sampled_from([0, 1]),
+                         st.integers(0, field.order - 1)).map(field._make)
+    const = st.integers(0, 3).map(lambda c: field._make(((c,) if c else (),
+                                                         (1,))))
+    t = field.t_gen()
+
+    @st.composite
+    def fraction(draw):
+        num = draw(const) + draw(const) * t
+        den = draw(const) + draw(const) * t
+        return num / den if den else num
+
+    return st.one_of(st.just(field.zero()), st.just(field.one()), fraction())
+
+
+@st.composite
+def matrix_over(draw, field, n=None, m=None):
+    """An n x m matrix X.Y with an inner dimension of 0 to 4, so that every
+    rank up to min(n, m) comes up."""
+    n = draw(st.integers(0, 4)) if n is None else n
+    m = draw(st.integers(0, 4)) if m is None else m
+    k = draw(st.integers(0, 4))
+    el = element(field)
+    X = [[draw(el) for _ in range(k)] for _ in range(n)]
+    Y = [[draw(el) for _ in range(m)] for _ in range(k)]
+    return MatrixF(field, ref_matmul(field, X, Y, m), ncols=m)
+
+
+def as_lists(M):
+    return [list(r) for r in M.rows]
+
+
+def span_of(M):
+    return Subspace.from_columns(M.field, M.nrows, M.columns())
+
+
+ladder = pytest.mark.parametrize("field", LADDER, ids=LADDER_IDS)
+examples = settings(max_examples=30, deadline=None)
+
+
+class TestAgainstReference:
+    """Every operation on stored scalars agrees with the FieldElement-level
+    reference over the field ladder, an untabled field and GF(4)(t)."""
+
+    @ladder
+    @examples
+    @given(data=st.data())
+    def test_matmul_rank_kernel_image(self, field, data):
+        A = data.draw(matrix_over(field))
+        B = data.draw(matrix_over(field, n=A.ncols))
+        assert as_lists(A @ B) == ref_matmul(field, as_lists(A), as_lists(B),
+                                             B.ncols)
+        red, pivots = ref_rref(as_lists(A), A.ncols)
+        assert rank(A) == len(pivots)
+        assert kernel(A).basis.columns() == ref_kernel(field, as_lists(A),
+                                                       A.ncols)
+        assert image(A).basis.columns() == ref_span(A.nrows, A.columns())
+
+    @ladder
+    @examples
+    @given(data=st.data())
+    def test_solve_and_inverse(self, field, data):
+        A = data.draw(matrix_over(field))
+        x0 = [data.draw(element(field)) for _ in range(A.ncols)]
+        b = [r[0] for r in ref_matmul(field, as_lists(A),
+                                      [[v] for v in x0], 1)]
+        x = solve(A, b)
+        assert ref_matmul(field, as_lists(A), [[v] for v in x], 1) == \
+            [[v] for v in b]
+        c = [data.draw(element(field)) for _ in range(A.nrows)]
+        aug = [list(r) + [v] for r, v in zip(A.rows, c)]
+        if len(ref_rref(aug, A.ncols + 1)[1]) == rank(A):
+            x = solve(A, c)
+            assert [r[0] for r in ref_matmul(field, as_lists(A),
+                                             [[v] for v in x], 1)] == c
+        else:
+            with pytest.raises(ValueError):
+                solve(A, c)
+        S = data.draw(matrix_over(field, n=A.nrows, m=A.nrows))
+        n = S.nrows
+        if rank(S) == n:
+            eye = MatrixF.identity(field, n)
+            assert as_lists(S @ S.inverse()) == as_lists(eye)
+            assert ref_matmul(field, as_lists(S.inverse()), as_lists(S),
+                              n) == as_lists(eye)
+        else:
+            with pytest.raises(ValueError):
+                S.inverse()
+
+    @ladder
+    @examples
+    @given(data=st.data())
+    def test_subspace_operations(self, field, data):
+        n = data.draw(st.integers(0, 4))
+        U = span_of(data.draw(matrix_over(field, n=n)))
+        W = span_of(data.draw(matrix_over(field, n=n)))
+        Uc, Wc = U.basis.columns(), W.basis.columns()
+        assert subspace_sum(U, W).basis.columns() == ref_span(n, Uc + Wc)
+        assert intersect(U, W).basis.columns() == \
+            ref_intersect(field, n, Uc, Wc)
+        assert complement(U) == loop_complement(U)
+        amb = subspace_sum(U, W)
+        assert complement(U, inside=amb) == loop_complement(U, inside=amb)
+        assert complement(intersect(U, W), inside=W) == \
+            loop_complement(intersect(U, W), inside=W)
+        if W.contains(U):
+            assert complement(U, inside=W) == loop_complement(U, inside=W)
+        else:
+            with pytest.raises(ValueError, match="not inside"):
+                complement(U, inside=W)
+
+    @ladder
+    @examples
+    @given(data=st.data())
+    def test_twist_and_descent(self, field, data):
+        A = data.draw(matrix_over(field))
+        for i in (1, 2):
+            assert as_lists(twist_matrix(A, i)) == \
+                [[frobenius(x, i) for x in r] for r in A.rows]
+        S = span_of(A)
+        D = descent_test(S)
+        roots = [[qth_root(x) for x in r] for r in S.basis.rows]
+        if any(y is None for r in roots for y in r):
+            assert field.kind != "finite" and D is None
+        else:
+            assert as_lists(D.basis) == roots
+            assert twist_subspace(D, 1) == S
+
+    @ladder
+    @examples
+    @given(data=st.data())
+    def test_rows_view_equality_and_hash(self, field, data):
+        A = data.draw(matrix_over(field))
+        rows = A.rows
+        assert all(type(x).__name__ == "FieldElement" and x.field is field
+                   for r in rows for x in r)
+        B = MatrixF(field, [list(r) for r in rows], ncols=A.ncols)
+        assert B.rows == rows and B == A and hash(B) == hash(A)
+        assert A.transpose().transpose() == A
+        assert [[A[i, j] for j in range(A.ncols)]
+                for i in range(A.nrows)] == as_lists(A)
+
+    def test_zero_column_matrices(self):
+        for field in LADDER:
+            tall = MatrixF(field, [[], [], []])
+            assert tall.nrows == 3 and tall.ncols == 0 and tall.rows == \
+                ((), (), ())
+            same = [MatrixF.zero(field, 3, 0),
+                    MatrixF(field, [], ncols=3).transpose()]
+            for M in same:
+                assert M == tall and hash(M) == hash(tall)
+            flat = MatrixF(field, [], ncols=3)
+            others = [MatrixF(field, [[], []]), MatrixF(field, []), flat]
+            for M in others:
+                assert M != tall
+            assert flat != MatrixF(field, []) and flat.rows == ()
+            assert flat == MatrixF.zero(field, 0, 3)
+            assert hash(flat) == hash(MatrixF.zero(field, 0, 3))
+
+    def test_constructor_refuses_other_fields(self):
+        with pytest.raises(ValueError, match="field mismatch"):
+            MatrixF(GF4, [[GF4.one(), GF9.one()]])
+        with pytest.raises(ValueError, match="field mismatch"):
+            MatrixF.block_diagonal(GF4, [MatrixF.identity(GF9, 1)])

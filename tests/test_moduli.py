@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qbic import CostGuardError
+from qbic import CostGuardError, VerificationError
 from qbic.fields import field_make
 from qbic.forms import parse_type
 from qbic.auts import group_dim
@@ -229,3 +229,9 @@ class TestSpecializeQuery:
         tB = P("0+N7^2")
         assert tA.n == tB.n == 15
         assert specialize_query(tA, tB) == ("unknown", None)
+
+
+def test_generator_step_checks_the_necessary_predicate(monkeypatch):
+    monkeypatch.setattr(moduli, "necessary", lambda s, t: False)
+    with pytest.raises(VerificationError, match="necessary predicate"):
+        generator_step(P("1^3"), verify_f6=False)
