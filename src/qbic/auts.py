@@ -4,12 +4,21 @@ The automorphism group scheme of a q-bic form with Gram matrix B consists
 of the invertible A with A^[1],T B A = B.  Its dimension and the dimension
 of its Lie algebra are closed-form functions of the type invariant; this
 module evaluates those formulas and, on tiny instances, counts the
-rational points exactly as an independent check.  The count builds A one
-column at a time: all but one of the conditions on the next column are
-linear, so each column's candidates come from one elimination.
+rational points exactly as an independent check.
+
+The count is a stabilizer chain over the standard basis (orbit-stabilizer;
+C. Sims 1970; A. Seress, "Permutation Group Algorithms", 2003, ch. 4): one
+existence search per orbit point, not one leaf per automorphism.  Its
+guard bounds n, |field|^(n^2) and the candidate columns of the chain's
+levels, which are known before any search; see enumerate_points.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
+import operator
 
 from . import CostGuardError
 from .fields import frobenius, qth_root
@@ -18,6 +27,8 @@ from .linalg import (MatrixF, Subspace, kernel, pairing, solve,
                      subspace_vectors)
 
 _ENUM_GUARD = 5 ** 9
+# candidate columns summed over the chain's levels; GF(2^16) 1x1 has 2^16
+_CHAIN_GUARD = 2 ** 16
 
 
 def lie_dim(t):
@@ -56,61 +67,119 @@ def phi(t, m):
                        + sum(t.b_m(2 * l) for l in range(k, mu + 1))))
 
 
+def _guard_text(field, n, candidates=None):
+    seen = f"n = {n}, |field|^(n^2) = {field.order ** (n * n)}"
+    if candidates is not None:
+        seen += f", {candidates} candidate columns on the chain's levels"
+    return (f"point enumeration over GF({field.order}): {seen}; guard is "
+            f"n <= 3, |field|^(n^2) <= {_ENUM_GUARD} and at most "
+            f"{_CHAIN_GUARD} candidate columns")
+
+
 def _check_enum_guard(f):
     field = f.field
     if field.kind != "finite":
         raise CostGuardError("point enumeration requires a finite field")
     if f.n > 3 or field.order ** (f.n * f.n) > _ENUM_GUARD:
-        raise CostGuardError(
-            f"point enumeration over GF({field.order}) needs "
-            f"{field.order}^{f.n * f.n} candidates; guard is n <= 3 and "
-            f"|field|^(n^2) <= {_ENUM_GUARD}")
+        raise CostGuardError(_guard_text(field, f.n))
+
+
+def _conditions(f, cols):
+    """The linear system M x = rhs on the column x that follows cols.
+
+    beta(a_i, x) = B_ij is linear in x, and so is beta(x, a_i) = B_ji
+    after taking q-th roots of both sides."""
+    B, j = f.gram, len(cols)
+    Bt = B.transpose()
+    rows, rhs = [], []
+    for i, a in enumerate(cols):
+        rows.append(Bt.apply([frobenius(x, 1) for x in a]))
+        rhs.append(B[i, j])
+        rows.append([qth_root(c) for c in B.apply(a)])
+        rhs.append(qth_root(B[j, i]))
+    return MatrixF(f.field, rows, ncols=f.n), rhs
+
+
+def _columns(f, cols, x0, null):
+    """The solutions x0 + k (k in null) of the system after cols that
+    also satisfy beta(x, x) = B_jj and are independent of cols."""
+    B, j = f.gram, len(cols)
+    for k in subspace_vectors(null):
+        x = [a + b for a, b in zip(x0, k)]
+        if (pairing(B, x, x) == B[j, j] and
+                Subspace.from_columns(f.field, f.n, cols + [x]).dim > j):
+            yield x
+
+
+def _first_leaf(f, cols):
+    """The columns of one automorphism whose first columns are cols,
+    found depth first; None when cols extends to none."""
+    if len(cols) == f.n:
+        return cols
+    M, rhs = _conditions(f, cols)
+    try:
+        x0 = solve(M, rhs)
+    except ValueError:
+        return None
+    for x in _columns(f, cols, x0, kernel(M)):
+        leaf = _first_leaf(f, cols + [x])
+        if leaf is not None:
+            return leaf
+    return None
+
+
+def _chain_levels(f):
+    """The standard basis and the kernels of the n systems with prefix
+    e_1..e_j, the chain's levels; their candidate columns are e_{j+1} plus
+    the kernel's vectors.  Raises CostGuardError when the levels hold more
+    than _CHAIN_GUARD candidates in all."""
+    field, n = f.field, f.n
+    basis = MatrixF.identity(field, n).columns()
+    nulls = [kernel(_conditions(f, basis[:j])[0]) for j in range(n)]
+    candidates = sum(field.order ** S.dim for S in nulls)
+    if candidates > _CHAIN_GUARD:
+        raise CostGuardError(_guard_text(field, n, candidates))
+    return basis, nulls
+
+
+def _transversals(f):
+    """For each level j, the columns of one automorphism per point x of
+    the orbit of e_j under the automorphisms fixing e_1..e_{j-1}."""
+    basis, nulls = _chain_levels(f)
+    out = []
+    for j, null in enumerate(nulls):
+        prefix = basis[:j]
+        leaves = (_first_leaf(f, prefix + [x])
+                  for x in _columns(f, prefix, basis[j], null))
+        out.append([cols for cols in leaves if cols is not None])
+    return out
 
 
 def enumerate_points(f):
     """Count the invertible A with A^[1],T B A = B over a small finite
     field, returning (count, samples) with at most 10 sample matrices.
 
-    The columns a_1, ..., a_n of A are chosen one at a time.  With
-    a_1..a_{j-1} fixed, beta(a_i, x) = B_ij is linear in the next column
-    x, and so is beta(x, a_i) = B_ji after taking q-th roots of both
-    sides.  The candidates for a_j are one solution of that system plus
-    the vectors of its kernel; they are filtered by beta(x, x) = B_jj and
-    by independence from the earlier columns.  Guarded: refuses
-    fields/dimensions where the candidate space exceeds the enumeration
-    budget."""
+    A stabilizer chain over the standard basis e_1, ..., e_n (the
+    identity is an automorphism): level j holds the automorphisms fixing
+    e_1..e_{j-1}, and its orbit of e_j is the set of columns x such that
+    (e_1, ..., e_{j-1}, x) extends to an automorphism.  The candidates x
+    are e_j plus the vectors of one kernel, filtered by beta(x, x) = B_jj
+    and independence; a depth-first search per candidate stops at its
+    first automorphism, which joins the level's transversal T_j.  By
+    orbit-stabilizer the count is the product of the |T_j|, and every
+    automorphism is exactly one product t_1 ... t_n, so the samples (the
+    first such products in itertools.product order) are distinct.
+
+    Guarded: refuses n > 3, |field|^(n^2) > 5^9, and chains whose levels
+    hold more than 2^16 candidate columns in all."""
     _check_enum_guard(f)
-    field, B, n = f.field, f.gram, f.n
-    Bt = B.transpose()
-    count = 0
-    samples = []
-
-    def extend(cols):
-        nonlocal count
-        j = len(cols)
-        if j == n:
-            count += 1
-            if len(samples) < 10:
-                samples.append(MatrixF(field, cols).transpose())
-            return
-        rows, rhs = [], []
-        for i, a in enumerate(cols):
-            rows.append(Bt.apply([frobenius(x, 1) for x in a]))
-            rhs.append(B[i, j])
-            rows.append([qth_root(c) for c in B.apply(a)])
-            rhs.append(qth_root(B[j, i]))
-        M = MatrixF(field, rows, ncols=n)
-        try:
-            x0 = solve(M, rhs)
-        except ValueError:
-            return
-        for k in subspace_vectors(kernel(M)):
-            x = [a + b for a, b in zip(x0, k)]
-            if (pairing(B, x, x) == B[j, j] and
-                    Subspace.from_columns(field, n, cols + [x]).dim > j):
-                extend(cols + [x])
-
-    extend([])
+    transversals = _transversals(f)
+    count = math.prod(map(len, transversals))
+    samples = [functools.reduce(operator.matmul,
+                                (MatrixF(f.field, cols).transpose()
+                                 for cols in ts))
+               for ts in itertools.islice(itertools.product(*transversals),
+                                          10)]
     return count, samples
 
 

@@ -12,8 +12,11 @@ equality is plain representation equality.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
+
+from . import CostGuardError
 
 # ---------------------------------------------------------------------------
 # polynomials over the prime field GF(p), coefficient lists low-to-high
@@ -839,6 +842,26 @@ def _tokenize(text):
     return out
 
 
+# a GF(q)(t) literal may not reach a higher degree in t; a product or power
+# past it is refused before it is formed (dense products cost degree^2)
+_LITERAL_DEGREE_CAP = 1024
+
+
+def _t_degree(x):
+    """The larger degree in t of x's numerator and denominator; 0 on a
+    finite field, where powers reduce and products keep their size."""
+    if x.field.kind == "finite":
+        return 0
+    num, den = x.val
+    return max(len(num), len(den)) - 1
+
+
+def _check_literal_degree(d):
+    if d > _LITERAL_DEGREE_CAP:
+        raise CostGuardError(f"element literal reaches degree {d} in t; "
+                             f"guard is degree <= {_LITERAL_DEGREE_CAP}")
+
+
 class _ElementParser:
     def __init__(self, field, tokens):
         self.field = field
@@ -869,10 +892,10 @@ class _ElementParser:
     def term(self):
         v = self.factor()
         while self.peek() in ("*", "/"):
-            if self.take() == "*":
-                v = v * self.factor()
-            else:
-                v = v / self.factor()
+            op = self.take()
+            w = self.factor()
+            _check_literal_degree(_t_degree(v) + _t_degree(w))
+            v = v * w if op == "*" else v / w
         return v
 
     def factor(self):
@@ -882,7 +905,9 @@ class _ElementParser:
             t = self.take()
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent after '^'")
-            v = v ** int(t)
+            n = int(t)
+            _check_literal_degree(_t_degree(v) * n)
+            v = v ** n
         return v
 
     def atom(self):
@@ -915,6 +940,12 @@ def _parse_element(field, text):
     return v
 
 
+# without mod=, field_make searches for the first irreducible modulus of
+# degree k: about k candidates, each a Rabin test of k log2(p) squarings of
+# degree-k polynomials.  A spec past this bound on k^4 log2(p) is refused
+# before the search; it admits 2^64 and 3^40 and refuses 2^80 and 3^64.
+_MODULUS_SEARCH_CAP = 2 ** 24
+
 _SPEC_RE = re.compile(
     r"^\s*(\d+)\^(\d+)(\(t\))?\s+q=(\d+)(?:\s+mod=\[([\d,\s]*)\])?\s*$")
 
@@ -927,6 +958,8 @@ def parse_field_spec(text):
     p, k = int(m.group(1)), int(m.group(2))
     kind = "rational-function" if m.group(3) else "finite"
     q = int(m.group(4))
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     e = 0
     qq = q
     while qq > 1 and qq % p == 0:
@@ -938,6 +971,11 @@ def parse_field_spec(text):
     if m.group(5) is not None:
         modulus = tuple(int(c) for c in m.group(5).replace(" ", "").split(",")
                         if c != "")
+    elif k ** 4 * math.log2(p) > _MODULUS_SEARCH_CAP:
+        raise CostGuardError(
+            f"field spec {p}^{k} without mod= needs a search for an "
+            f"irreducible polynomial of degree {k}; guard is "
+            f"k^4 * log2(p) <= {_MODULUS_SEARCH_CAP} without mod=")
     return field_make(p, e, k, modulus, kind)
 
 

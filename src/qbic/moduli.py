@@ -12,7 +12,6 @@ degeneration witnesses over GF(q^2)(t).
 from __future__ import annotations
 
 import json
-import logging
 from collections import deque
 
 from . import CostGuardError, VerificationError, _check
@@ -20,8 +19,6 @@ from .fields import evaluate_at_zero, field_make
 from .forms import QBicForm, TypeSignature, type_of
 from .auts import group_dim
 from .linalg import MatrixF
-
-log = logging.getLogger(__name__)
 
 _POSET_CAP = 8
 
@@ -271,21 +268,19 @@ def _split_prime_power(q):
     raise ValueError(f"q = {q} is not a prime power")
 
 
-_F6_VERIFIED = {}
+_F6_VERIFIED = set()
 
 
-def _f6_core_ok(s, q=2):
+def _verify_f6_core(s, q=2):
     """Composite-family instances reduce to the move 1 + N_{2s} ~>
     N_{2s+1}; each core is backed by a degeneration witness, checked once
-    per (s, q)."""
+    per (s, q).  A witness that fails raises VerificationError."""
     key = (s, q)
     if key not in _F6_VERIFIED:
-        w = witness(6, s, q=q)
-        if not w.verified:
-            log.warning("composite move 1+N_%d ~> N_%d failed witness "
-                        "verification; excluded", 2 * s, 2 * s + 1)
-        _F6_VERIFIED[key] = w.verified
-    return _F6_VERIFIED[key]
+        _check(witness(6, s, q=q).verified,
+               f"composite move 1+N_{2 * s} ~> N_{2 * s + 1} failed its "
+               f"witness over q = {q}")
+        _F6_VERIFIED.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +292,8 @@ def generator_step(t, verify_f6=True):
 
     Returns (new type, family id, s, t-parameter) tuples; every emitted
     step satisfies the necessary predicate.  Composite family-6 instances
-    are checked against a degeneration witness unless verify_f6 is False.
+    are checked against a degeneration witness unless verify_f6 is False;
+    a failed witness raises VerificationError.
     """
     results = []
 
@@ -370,10 +366,7 @@ def generator_step(t, verify_f6=True):
             if t.a < ones:
                 break
             if verify_f6:
-                if not _f6_core_ok(tp - 1):
-                    continue
-            elif _F6_VERIFIED.get((tp - 1, 2)) is False:
-                continue
+                _verify_f6_core(tp - 1)
             new = moved(-ones, [2 * s] if s else [], [2 * tp - 1])
             if new is not None:
                 emit(new, 6, s, tp)
@@ -472,10 +465,10 @@ def generator_path(tA, tB):
                     node = prev
                 path.reverse()
                 # composite moves rely on a verified core witness
-                if all(_f6_core_ok(step[2] - 1) for step in path
-                       if step[0] == 6):
-                    return path
-                return generator_path(tA, tB)  # rerun without the bad core
+                for step in path:
+                    if step[0] == 6:
+                        _verify_f6_core(step[2] - 1)
+                return path
             queue.append(new)
     return None
 

@@ -1,20 +1,26 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_form, random_invertible, rng_for
-from qbic import CostGuardError
-from qbic.fields import field_make
+from qbic import CostGuardError, auts
+from qbic.fields import field_make, frobenius, qth_root
 from qbic.forms import (QBicForm, parse_type, perp_filtration,
                         perp_prime_filtration, type_of)
 from qbic.classify import jordan_gram, standard_gram
 from qbic.auts import (aut_report, enumerate_points, group_dim, lie_dim,
                        lie_points, phi)
-from qbic.linalg import (MatrixF, Subspace, twist_matrix, twist_subspace,
+from qbic.linalg import (MatrixF, Subspace, kernel, pairing, solve,
+                         subspace_vectors, twist_matrix, twist_subspace,
                          twisted_congruence)
 from qbic.moduli import enumerate_types
 
 GF4 = field_make(2, 1, 2)
+GF9 = field_make(3, 1, 2)
+GF16 = field_make(2, 2, 4)
+GF25 = field_make(5, 1, 2)
 
 
 def form_of(text, field=GF4):
@@ -31,6 +37,48 @@ def brute_force_count(B):
         if A.is_invertible() and twisted_congruence(B, A) == B:
             count += 1
     return count
+
+
+def column_search_count(B):
+    """Reference count, the search the stabilizer chain replaced: choose
+    the columns of A one at a time, each from the solutions of a linear
+    system, and visit every automorphism as a leaf."""
+    field, n = B.field, B.nrows
+    Bt = B.transpose()
+    count = 0
+
+    def extend(cols):
+        nonlocal count
+        j = len(cols)
+        if j == n:
+            count += 1
+            return
+        rows, rhs = [], []
+        for i, a in enumerate(cols):
+            rows.append(Bt.apply([frobenius(x, 1) for x in a]))
+            rhs.append(B[i, j])
+            rows.append([qth_root(c) for c in B.apply(a)])
+            rhs.append(qth_root(B[j, i]))
+        M = MatrixF(field, rows, ncols=n)
+        try:
+            x0 = solve(M, rhs)
+        except ValueError:
+            return
+        for k in subspace_vectors(kernel(M)):
+            x = [a + b for a, b in zip(x0, k)]
+            if (pairing(B, x, x) == B[j, j] and
+                    Subspace.from_columns(field, n, cols + [x]).dim > j):
+                extend(cols + [x])
+
+    extend([])
+    return count
+
+
+def general_linear_order(order, n):
+    out = 1
+    for i in range(n):
+        out *= order ** n - order ** i
+    return out
 
 
 def unitary_order(q, n):
@@ -100,10 +148,10 @@ class TestPointEnumeration:
                         assert twisted_congruence(B, S) == B
 
     @pytest.mark.parametrize("p,e,k", [(2, 1, 2), (3, 1, 2), (2, 2, 4),
-                                       (5, 1, 2)])
+                                       (2, 1, 4), (5, 1, 2)])
     def test_unitary_closed_form(self, p, e, k):
         F = field_make(p, e, k)
-        for n in (1, 2):
+        for n in range(1, 4 if F.order == 4 else 3):
             identity = MatrixF.identity(F, n)
             count, samples = enumerate_points(QBicForm(F, identity))
             assert count == unitary_order(F.q, n)
@@ -157,6 +205,97 @@ class TestPointEnumeration:
         RF4 = field_make(2, 1, 2, kind="rational-function")
         with pytest.raises(CostGuardError):
             enumerate_points(QBicForm(RF4, MatrixF.identity(RF4, 1)))
+
+
+# Types whose reference search takes over 0.2 s: it visits one leaf per
+# automorphism, and these have thousands.
+SLOW_FOR_REFERENCE = {GF4: {"0^3", "0^2+1"}, GF9: {"0^2"}, GF16: {"0^2"},
+                      GF25: {"0^2", "0+1"}}
+
+
+def chain_cases():
+    """Seeded conjugates of every type n <= 3 over GF(4) and n <= 2 over
+    GF(9), GF(16) and GF(25)."""
+    rng = rng_for("chain")
+    for F, top in ((GF4, 3), (GF9, 2), (GF16, 2), (GF25, 2)):
+        for n in range(1, top + 1):
+            for t in enumerate_types(n):
+                for _ in range(2):
+                    A = random_invertible(F, n, rng)
+                    yield F, t, twisted_congruence(standard_gram(t, F), A)
+
+
+class TestStabilizerChain:
+    def test_matches_column_search_on_conjugates(self):
+        for F, t, B in chain_cases():
+            if str(t) in SLOW_FOR_REFERENCE[F]:
+                continue
+            count, _ = enumerate_points(QBicForm(F, B))
+            assert count == column_search_count(B), (F, str(t))
+
+    def test_samples(self):
+        for F, t, B in chain_cases():
+            count, samples = enumerate_points(QBicForm(F, B))
+            assert len(samples) == min(count, 10)
+            assert len(set(samples)) == len(samples)
+            for S in samples:
+                assert S.is_invertible()
+                assert twisted_congruence(B, S) == B
+
+    @pytest.mark.parametrize("F,n,order", [(GF4, 3, 181440),
+                                           (GF16, 2, 61200),
+                                           (GF25, 2, 374400)])
+    def test_general_linear_orders(self, F, n, order):
+        # B = 0 is fixed by every invertible A; orbit j of the chain is
+        # every vector outside span(e_1..e_{j-1})
+        f = QBicForm(F, MatrixF.zero(F, n, n))
+        assert [len(T) for T in auts._transversals(f)] == [
+            F.order ** n - F.order ** j for j in range(n)]
+        assert enumerate_points(f)[0] == general_linear_order(F.order, n)
+        assert general_linear_order(F.order, n) == order
+
+    def test_group_dim_is_the_growth_rate(self):
+        # q = 2 fixed and the base field run up GF(4), GF(16), GF(64),
+        # past the static guard: count / |F|^group_dim levels off
+        exact = {"0+1": lambda m: 3 * m * (m - 1), "N2": lambda m: m - 1,
+                 "1^2": lambda m: 18}
+        limit = {"0+1": 3, "N2": 1, "1^2": 18}
+        for text, closed in exact.items():
+            t = parse_type(text)
+            gaps = []
+            for k in (2, 4, 6):
+                F = field_make(2, 1, k)
+                f = QBicForm(F, standard_gram(t, F))
+                count = math.prod(map(len, auts._transversals(f)))
+                assert count == closed(F.order), (text, k)
+                ratio = Fraction(count, F.order ** group_dim(t))
+                gaps.append(abs(ratio - limit[text]))
+            assert gaps[2] <= gaps[1] <= gaps[0]
+            assert gaps[2] <= Fraction(limit[text], 60), text
+
+
+class TestChainGuard:
+    @pytest.mark.parametrize("k", [16, 18])
+    def test_one_level_bound(self, k):
+        # a 1x1 form's one level holds every vector of the field: GF(2^16)
+        # is admitted, GF(2^18) refused before any search
+        F = field_make(2, 1, k)
+        for B in (MatrixF.identity(F, 1), MatrixF.zero(F, 1, 1)):
+            f = QBicForm(F, B)
+            if k == 16:
+                _, nulls = auts._chain_levels(f)
+                assert sum(F.order ** S.dim for S in nulls) == 2 ** 16
+            else:
+                with pytest.raises(CostGuardError, match="262144 candidate"):
+                    enumerate_points(f)
+
+    def test_static_bounds_stay(self):
+        # GF(9) n = 3 has 9^9 > 5^9 matrices, n = 4 is refused outright
+        f = QBicForm(GF9, MatrixF.identity(GF9, 3))
+        with pytest.raises(CostGuardError, match=r"n <= 3, \|field\|"):
+            enumerate_points(f)
+        with pytest.raises(CostGuardError, match="1953125"):
+            enumerate_points(QBicForm(GF4, MatrixF.zero(GF4, 4, 4)))
 
 
 class TestLiePoints:

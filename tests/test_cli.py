@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,45 @@ class TestTypeCommand:
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "type", str(tmp_path / "nope.txt"))
         assert code == 2 and "nope.txt" in err
+
+    @pytest.mark.parametrize("spec", ["2^1000 q=2", "3^200 q=3",
+                                      "2^1000(t) q=2"])
+    def test_modulus_search_guard(self, capsys, tmp_path, spec):
+        path = tmp_path / "big.txt"
+        path.write_text(f"field: {spec}\nn: 1\n1\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "type", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == "" and "without mod=" in err
+
+    def test_modulus_search_admits_2_40(self, capsys, tmp_path):
+        path = tmp_path / "gf2_40.txt"
+        path.write_text("field: 2^40 q=2\nn: 1\n1\n")
+        code, out, _ = run(capsys, "type", str(path))
+        assert code == 0 and json.loads(out)["type"] == "1"
+
+    @pytest.mark.parametrize("literal", ["t^3000000", "t^1025",
+                                         "t^600*t^600", "(t+1)^600/t^600"])
+    def test_literal_degree_guard(self, capsys, tmp_path, literal):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"field: 2^2(t) q=2 mod=[1,1,1]\nn: 1\n{literal}\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "type", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == "" and "degree <= 1024" in err
+
+    def test_literal_degree_at_the_guard(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("field: 2^2(t) q=2 mod=[1,1,1]\nn: 1\nt^1024\n")
+        code, out, _ = run(capsys, "type", str(path))
+        assert code == 0 and json.loads(out)["type"] == "1"
+
+    @pytest.mark.parametrize("spec", ["0^2 q=2", "1^2 q=1"])
+    def test_prime_below_two_is_input_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "p.txt"
+        path.write_text(f"field: {spec}\nn: 1\n1\n")
+        code, out, err = run(capsys, "type", str(path))
+        assert code == 2 and out == "" and "is not prime" in err
 
     def test_bad_token_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -123,6 +163,19 @@ class TestAutCommand:
         code, _, err = run(capsys, "aut", str(path), "--points")
         assert code == 3 and "guard" in err
 
+    def test_chain_guard_refuses_quickly(self, capsys, tmp_path):
+        # a 1x1 form over GF(2^18) passes the static bounds, but its one
+        # level holds 2^18 candidate columns
+        path = tmp_path / "wide.txt"
+        path.write_text("field: 2^18 q=2\nn: 1\n1\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "aut", str(path), "--points")
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == ""
+        for bound in ("n <= 3", "<= 1953125", "65536 candidate columns",
+                      "262144 candidate columns"):
+            assert bound in err
+
     def test_needs_exactly_one_source(self, capsys, n3_path):
         code, _, _ = run(capsys, "aut")
         assert code == 2
@@ -162,6 +215,17 @@ class TestModuliCommand:
     def test_cost_guard(self, capsys):
         code, _, _ = run(capsys, "moduli", "--dim", "9")
         assert code == 3
+
+    def test_failed_f6_witness_exits_4(self, capsys, monkeypatch):
+        from qbic import moduli
+
+        class Failed:
+            verified = False
+
+        monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+        monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
+        code, out, err = run(capsys, "moduli", "--dim", "3")
+        assert code == 4 and out == "" and "composite move" in err
 
     def test_nonpositive_dim_is_input_error(self, capsys):
         code, out, err = run(capsys, "moduli", "--dim", "0")

@@ -53,33 +53,65 @@ def test_matches_golden(cid, argv, code, nf):
         assert workloads.check(case, (got, out.getvalue()))
 
 
-def _run_cli(flags, argv):
+def _run_plain(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return [code, out.getvalue()]
+
+
+# One python -O process runs cli.main in-process over a list of commands
+# read from stdin, and writes {id: [exit code, stdout]} plus the optimize
+# flag it ran under.
+_DRIVER = """
+import contextlib, io, json, sys
+from qbic import cli
+got = {"optimize": sys.flags.optimize}
+for cid, argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    got[cid] = [code, out.getvalue()]
+json.dump(got, sys.stdout)
+"""
+
+
+def _run_optimized(rows):
     src = os.path.join(os.path.dirname(BENCH), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *flags, "-m", "qbic.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-O", "-c", _DRIVER],
+                          input=json.dumps(rows), capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got.pop("optimize") == 1
+    return got
+
+
+def _rows(command):
+    return [(cid, workloads.cli_argv(argv))
+            for cid, argv, _, _ in TABLE if argv[0] == command]
 
 
 def test_normal_forms_under_optimize():
     # the certificate checks are explicit, so -O (which strips assert)
     # must not change a normal-form report
-    for cid, argv, code, nf in TABLE:
-        if nf is None:
-            continue
-        argv = workloads.cli_argv(argv)
-        plain, opt = _run_cli([], argv), _run_cli(["-O"], argv)
-        assert plain.returncode == opt.returncode == code, cid
-        assert opt.stdout == plain.stdout, cid
+    rows = _rows("normal-form")
+    opt = _run_optimized(rows)
+    for cid, argv in rows:
+        assert opt[cid] == _run_plain(argv), cid
+        assert opt[cid][0] == GOLDEN[cid]["exit"], cid
 
 
-@pytest.mark.parametrize("command", ["type", "hermitian"])
+@pytest.mark.parametrize("command", ["type", "hermitian", "aut", "moduli",
+                                     "specialize", "witness"])
 def test_reports_under_optimize(command):
-    # the filtration, type and Hermitian checks in forms are explicit as
-    # well: under -O each report is the recorded plain run's output
-    for cid, argv, code, nf in TABLE:
-        if argv[0] != command:
-            continue
-        opt = _run_cli(["-O"], workloads.cli_argv(argv))
-        assert opt.returncode == code == GOLDEN[cid]["exit"], cid
-        assert opt.stdout == GOLDEN[cid]["stdout"], cid
+    # every check in forms, auts and moduli is explicit as well: under -O
+    # each report is the recorded plain run's output, refusals included
+    rows = _rows(command)
+    assert rows
+    opt = _run_optimized(rows)
+    for cid, _ in rows:
+        assert opt[cid] == [GOLDEN[cid]["exit"], GOLDEN[cid]["stdout"]], cid

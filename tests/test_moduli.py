@@ -235,3 +235,18 @@ def test_generator_step_checks_the_necessary_predicate(monkeypatch):
     monkeypatch.setattr(moduli, "necessary", lambda s, t: False)
     with pytest.raises(VerificationError, match="necessary predicate"):
         generator_step(P("1^3"), verify_f6=False)
+
+
+def test_failed_f6_witness_raises(monkeypatch):
+    # a composite move whose core witness fails is an error, not a move
+    # to leave out
+    class Failed:
+        verified = False
+
+    monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+    monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
+    with pytest.raises(VerificationError, match="composite move"):
+        generator_step(P("1^3"))
+    with pytest.raises(VerificationError, match="composite move"):
+        generator_path(P("1^3"), P("N3"))
+    assert generator_path(P("N3"), P("0+1^2")) == [(1, 1, None, P("0+1^2"))]
