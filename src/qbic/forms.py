@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import sys
 
-from . import VerificationError, _check
+from . import _check
 from .fields import embed, extension_field
 from .linalg import (MatrixF, Subspace, descent_test, intersect, kernel,
                      left_orthogonal, pairing, rank, right_orthogonal,
@@ -126,18 +126,6 @@ class PerpPrimeFiltration:
         while j >= len(self.pieces_on_twist):
             j -= 2
         return twist_subspace(self.pieces_on_twist[j], i - j)
-
-    def descended_piece(self, i):
-        """P'_i descended all the way to V; requires descent level 0."""
-        if self.descent_level(i) != 0:
-            raise ValueError(f"piece {i} does not descend to V")
-        S = self.piece_on_twist(i)
-        for _ in range(i):
-            S = descent_test(S)
-            if S is None:
-                raise VerificationError(
-                    f"piece {i} has descent level 0 but does not descend")
-        return S
 
     def descent_level(self, i):
         """Minimal twist level P'_i descends to.  Beyond the stored range

@@ -10,6 +10,21 @@ RATIONAL_FILE = "field: 2^2(t) q=2 mod=[1,1,1]\nn: 2\nt 1\n1 0\n"
 FIG5 = ("1^5,1^3+N2,1^2+N3,1+N4,N5,1+N2^2,N2+N3,0+1^4,0+1^2+N2")
 
 
+def modulus_text(degree, *middle):
+    """The coefficients of z^degree + z^m1 + ... + 1 over GF(2)."""
+    coeffs = [0] * (degree + 1)
+    for i in (0, *middle, degree):
+        coeffs[i] = 1
+    return ",".join(map(str, coeffs))
+
+
+# z^256 + z^155 + z^2 + z + 1 and z^400 + z^245 + z^2 + z + 1 are
+# irreducible over GF(2); the degree-258 one need not be, it is refused first
+DEG256 = modulus_text(256, 1, 2, 155)
+DEG258 = modulus_text(258, 1)
+DEG400 = modulus_text(400, 1, 2, 245)
+
+
 @pytest.fixture
 def n3_path(tmp_path):
     path = tmp_path / "n3.txt"
@@ -85,6 +100,53 @@ class TestTypeCommand:
         path.write_text("field: 2^2(t) q=2 mod=[1,1,1]\nn: 1\nt^1024\n")
         code, out, _ = run(capsys, "type", str(path))
         assert code == 0 and json.loads(out)["type"] == "1"
+
+    @pytest.mark.parametrize("spec", [
+        "2^400 q=2 mod=[%s]" % DEG400, "2^258 q=2 mod=[%s]" % DEG258])
+    def test_modulus_test_guard(self, capsys, tmp_path, spec):
+        path = tmp_path / "big.txt"
+        path.write_text(f"field: {spec}\nn: 1\n1\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "type", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == ""
+        assert "k^3 * log2(p) <= 16777216 with mod=" in err
+
+    def test_modulus_test_admits_degree_256(self, capsys, tmp_path):
+        path = tmp_path / "gf2_256.txt"
+        path.write_text(f"field: 2^256 q=2 mod=[{DEG256}]\nn: 1\nz\n")
+        code, out, _ = run(capsys, "type", str(path))
+        assert code == 0 and json.loads(out)["type"] == "1"
+
+    @pytest.mark.parametrize("p", [17592186044423, 10 ** 24 + 7])
+    def test_prime_guard(self, capsys, tmp_path, p):
+        path = tmp_path / "p.txt"
+        path.write_text(f"field: {p}^2 q={p}\nn: 1\n1\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "type", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == "" and "guard is p < 2^44" in err
+
+    def test_prime_guard_admits_below_2_44(self, capsys, tmp_path):
+        p = 17592186044399  # the largest prime below 2^44
+        path = tmp_path / "p.txt"
+        path.write_text(f"field: {p}^2 q={p}\nn: 1\nz\n")
+        code, out, _ = run(capsys, "type", str(path))
+        assert code == 0 and json.loads(out)["type"] == "1"
+
+    @pytest.mark.parametrize("depth,code", [(50, 0), (3000, 2)])
+    def test_nested_parentheses(self, capsys, tmp_path, depth, code):
+        path = tmp_path / "nested.txt"
+        path.write_text("field: 2^2 q=2 mod=[1,1,1]\nn: 1\n"
+                        + "(" * depth + "z+1" + ")" * depth + "\n")
+        start = time.process_time()
+        got, out, err = run(capsys, "type", str(path))
+        assert time.process_time() - start < 1.0
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["type"] == "1"
+        else:
+            assert out == "" and "nest deeper than 100" in err
 
     @pytest.mark.parametrize("spec", ["0^2 q=2", "1^2 q=1"])
     def test_prime_below_two_is_input_error(self, capsys, tmp_path, spec):

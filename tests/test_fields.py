@@ -1,12 +1,122 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbic.fields import (TABLE_CAP, _pp_add, _pp_mod, _pp_mul, embed,
-                         evaluate_at_zero, extension_field, field_make,
-                         frobenius, lift_constant, parse_field_spec, qth_root)
+from qbic import CostGuardError
+from qbic.fields import (TABLE_CAP, _PolyRing, embed, evaluate_at_zero,
+                         extension_field, field_make, frobenius,
+                         lift_constant, parse_field_spec, qth_root)
+
+
+# ---------------------------------------------------------------------------
+# reference: polynomials over GF(p) as coefficient lists, low to high
+
+
+def _pp_trim(a):
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
+
+
+def _pp_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _pp_trim(out)
+
+
+def _pp_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _pp_trim(out)
+
+
+def _pp_mod(a, m, p):
+    a = list(a)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], p - 2, p)
+    while len(_pp_trim(a)) - 1 >= dm:
+        a = _pp_trim(a)
+        d = len(a) - 1
+        c = (a[-1] * inv_lead) % p
+        for i, mi in enumerate(m):
+            a[d - dm + i] = (a[d - dm + i] - c * mi) % p
+        a = a[:-1]
+    return _pp_trim(a)
+
+
+def _pp_powmod(a, n, m, p):
+    r = [1]
+    a = _pp_mod(a, m, p)
+    while n:
+        if n & 1:
+            r = _pp_mod(_pp_mul(r, a, p), m, p)
+        a = _pp_mod(_pp_mul(a, a, p), m, p)
+        n >>= 1
+    return r
+
+
+def _pp_gcd(a, b, p):
+    a, b = _pp_trim(list(a)), _pp_trim(list(b))
+    while b:
+        a, b = b, _pp_mod(a, b, p)
+    # normalize monic
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def gauss_count(p, d):
+    """The number of monic irreducible polynomials of degree d over GF(p)."""
+    def mobius(n):
+        out = 1
+        for ell in _prime_factors(n):
+            if n % (ell * ell) == 0:
+                return 0
+            out = -out
+        return out
+    return sum(mobius(e) * p ** (d // e)
+               for e in range(1, d + 1) if d % e == 0) // d
+
+
+def _prime_factors(n):
+    return [d for d in range(2, n + 1)
+            if n % d == 0 and all(d % e for e in range(2, d))]
+
+
+def _pp_is_irreducible(f, p):
+    """Rabin test for a polynomial over GF(p).  Unlike the packed test it
+    compares z^(p^d) mod f with the unreduced z, so it calls every
+    polynomial of degree 1 reducible; field_make never asks about one."""
+    f = _pp_trim(list(f))
+    d = len(f) - 1
+    if d < 1:
+        return False
+    x = [0, 1]
+    xq = _pp_powmod(x, p ** d, f, p)
+    if _pp_trim(_pp_add(xq, [(p - c) % p for c in x], p)):
+        return False
+    for ell in _prime_factors(d):
+        xe = _pp_powmod(x, p ** (d // ell), f, p)
+        g = _pp_gcd(_pp_add(xe, [(p - c) % p for c in x], p), f, p)
+        if len(g) != 1:
+            return False
+    return True
+
 
 GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
@@ -17,10 +127,19 @@ GF256 = field_make(2, 4, 8)
 GF1024 = field_make(2, 5, 10)
 GF625 = field_make(5, 1, 4)
 GF2_16 = field_make(2, 1, 16)
-GF2_18 = field_make(2, 1, 18)  # above TABLE_CAP: polynomial arithmetic
+GF64 = field_make(2, 1, 6)
+GF729 = field_make(3, 1, 6)
+GF4096 = field_make(2, 1, 12)
+GF3_10 = field_make(3, 1, 10)
+GF251_2 = field_make(251, 1, 2)
+# above TABLE_CAP: polynomial arithmetic
+GF2_18 = field_make(2, 1, 18)
+GF257_2 = field_make(257, 1, 2)
 RF4 = field_make(2, 1, 2, kind="rational-function")
 
-FIELDS = [GF4, GF9, GF16, GF25, GF81, GF256, GF1024, GF625, GF2_18]
+FIELDS = [GF4, GF9, GF16, GF25, GF81, GF256, GF1024, GF625, GF2_18, GF257_2]
+TABLED = [GF4, GF9, GF16, GF25, GF81, GF256, GF1024, GF625, GF2_16, GF64,
+          GF729, GF4096, GF3_10, GF251_2]
 
 
 def elements_of(field):
@@ -111,12 +230,16 @@ class TestTableArithmetic:
         assert F._fpow(a, n) == r
 
     @pytest.mark.parametrize("F", [GF9, GF16, GF25, GF81,
-                                   field_make(3, 1, 2, (2, 0, 2))], ids=str)
-    def test_every_pair(self, F):  # the last modulus is not monic
+                                   field_make(3, 1, 2, (2, 0, 2)), GF64],
+                             ids=str)
+    def test_every_pair(self, F):  # (2, 0, 2) is not monic
         for a, b in itertools.product(range(F.order), repeat=2):
             self.check_pair(F, a, b)
 
-    @pytest.mark.parametrize("F", [GF256, GF1024, GF2_16], ids=str)
+    # the last two are above TABLE_CAP: the packed polynomial arithmetic
+    @pytest.mark.parametrize("F", [GF256, GF1024, GF2_16, GF4096, GF729,
+                                   GF3_10, GF251_2, GF2_18, GF257_2],
+                             ids=str)
     def test_seeded_sample(self, F):
         rng = random.Random(f"tables/{F.order}")
         for _ in range(1500):
@@ -127,6 +250,72 @@ class TestTableArithmetic:
     def test_tables_stop_at_the_cap(self):
         assert GF2_16.order == TABLE_CAP and hasattr(GF2_16, "_exp")
         assert not hasattr(GF2_18, "_exp")
+
+    @pytest.mark.parametrize("F", TABLED, ids=str)
+    def test_generator_reaches_every_unit(self, F):
+        # g = exp[1] is the first primitive element in encoding order, and
+        # the walk is g^i: a permutation of the order-1 nonzero elements
+        n1 = F.order - 1
+        exp, g = F._exp, F._exp[1]
+        assert sorted(exp[:n1]) == list(range(1, F.order))
+        assert exp[n1:] == exp[:n1] and exp[0] == 1
+        mod = list(F.modulus)
+        cofactors = [n1 // ell for ell in _prime_factors(n1)]
+        for v in range(F.p, g):
+            assert any(_pp_powmod(F._decode(v), c, mod, F.p) == [1]
+                       for c in cofactors)
+        step = max(1, n1 // 500)
+        for i in range(0, n1, step):
+            assert exp[i + 1] == self.ref_mul(F, exp[i], g)
+
+
+class TestPolynomialCore:
+    """The packed GF(p)[z] core against the coefficient-list reference."""
+
+    @pytest.mark.parametrize("p,top", [(2, 10), (3, 5)])
+    def test_irreducibility_census(self, p, top):
+        # every monic polynomial of degree 1..top: the number found per
+        # degree is Gauss's count (1/d) sum_{e | d} mu(e) p^(d/e), and from
+        # degree 2 on each verdict is the list reference's
+        for d in range(1, top + 1):
+            found = 0
+            for rest in itertools.product(range(p), repeat=d):
+                f = [*rest, 1]
+                got = _PolyRing(p, f).irreducible()
+                if d >= 2:
+                    assert got == _pp_is_irreducible(f, p), f
+                found += got
+            assert found == gauss_count(p, d)
+
+    @pytest.mark.parametrize("p,top", [(5, 4), (7, 3), (251, 1)])
+    def test_counts_over_larger_primes(self, p, top):
+        for d in range(1, top + 1):
+            found = sum(_PolyRing(p, [*rest, 1]).irreducible()
+                        for rest in itertools.product(range(p), repeat=d))
+            assert found == gauss_count(p, d)
+
+    def test_leading_coefficient_is_a_unit(self):
+        for f in itertools.product(range(5), repeat=3):
+            f = [*f, 3]
+            assert _PolyRing(5, f).irreducible() == _pp_is_irreducible(f, 5)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([2, 3, 5, 7, 251, 257]), st.data())
+    def test_mul_and_divmod(self, p, data):
+        coeffs = st.lists(st.integers(0, p - 1), max_size=12)
+        f = data.draw(coeffs) + [data.draw(st.integers(1, p - 1))]
+        R = _PolyRing(p, f)
+        a, b = _pp_trim(data.draw(coeffs)), _pp_trim(data.draw(coeffs))
+        pack = lambda c: sum(x << (R.w * j) for j, x in enumerate(c))
+        unpack = lambda x: _pp_trim([x >> (R.w * j) & (1 << R.w) - 1
+                                     for j in range(2 * len(f) + 2)])
+        ra, rb = _pp_mod(a, f, p), _pp_mod(b, f, p)
+        assert unpack(R.mul(pack(ra), pack(rb))) == \
+            _pp_mod(_pp_mul(ra, rb, p), f, p)
+        if len(a) <= 2 * len(f) and rb:
+            q, r = R.divmod(pack(a), pack(rb))
+            assert unpack(r) == _pp_mod(a, rb, p)
+            assert _pp_add(_pp_mul(unpack(q), rb, p), unpack(r), p) == a
 
 
 class TestIdentity:
@@ -249,6 +438,67 @@ class TestConstructionAndParsing:
         assert GF4.parse("z+1") == z + GF4.one()
         z16 = GF16.gen()
         assert GF16.parse(str(z16 ** 3 + z16)) == z16 ** 3 + z16
+
+
+class TestGuardsAndLimits:
+    def test_nested_parentheses(self):
+        assert GF4.parse("(" * 50 + "z+1" + ")" * 50) == GF4.parse("z+1")
+        assert GF4.parse("(" * 100 + "z" + ")" * 100) == GF4.gen()
+        for depth in (101, 3000):
+            with pytest.raises(ValueError, match="nest deeper than 100"):
+                GF4.parse("(" * depth + "z" + ")" * depth)
+
+    @pytest.mark.parametrize("spec", [
+        "2^400 q=2 mod=[1,1]", "2^258 q=2", "17592186044423^2 q=17592186044423",
+        "1000000000000000000000007^2 q=1000000000000000000000007",
+        "2^99999999999999999999999 q=2"])
+    def test_spec_guards(self, spec):
+        with pytest.raises(CostGuardError, match="guard is"):
+            parse_field_spec(spec)
+
+    def test_root_search_guard(self):
+        # GF(2^14) has 2^14 > 4096 elements to scan for a root in GF(2^28)
+        src = field_make(2, 1, 14)
+        dst = extension_field(src, 2)
+        with pytest.raises(CostGuardError, match="guard is <= 4096"):
+            embed(src, dst)
+        assert embed(GF4096, extension_field(GF4096, 2)).src is GF4096
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.text("0123456789^ q=mod[],(t)", max_size=24),
+        st.builds("{}^{}{} q={}{}".format,
+                  st.integers(0, 300) | st.sampled_from(
+                      [2 ** 44 - 1, 2 ** 44, 10 ** 24 + 7]),
+                  st.integers(0, 12) | st.sampled_from([64, 258, 10 ** 30]),
+                  st.sampled_from(["", "(t)"]),
+                  st.integers(0, 300) | st.sampled_from([4, 8, 9, 27, 81]),
+                  st.none().map(lambda _: "") | st.lists(
+                      st.integers(0, 9), max_size=14).map(
+                      lambda c: f" mod=[{','.join(map(str, c))}]"))))
+    def test_specs_raise_only_value_or_guard_errors(self, text):
+        try:
+            F = parse_field_spec(text)
+        except (ValueError, CostGuardError):
+            return
+        assert parse_field_spec(F.spec_string()) is F
+
+    @pytest.mark.parametrize("p,k", [(3, 10), (251, 2)])
+    def test_construction_time(self, p, k):
+        # O(order) int operations: under 0.3 s of CPU in a fresh process
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = ("import time\n"
+                "from qbic.fields import field_make\n"
+                "t = time.process_time()\n"
+                f"F = field_make({p}, 1, {k})\n"
+                "print(time.process_time() - t, F.order)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        seconds, order = proc.stdout.split()
+        assert int(order) == p ** k and float(seconds) < 0.3
 
 
 class TestExtensions:
