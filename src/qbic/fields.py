@@ -1056,23 +1056,30 @@ def parse_field_spec(text):
         e += 1
     if qq != 1 or e == 0:
         raise ValueError(f"q = {q} is not a positive power of p = {p}")
-    # a k this large is past both bounds, and k^4 would not fit a float
-    huge = k >= 2 ** 64
     modulus = None
     if m.group(5) is not None:
         modulus = tuple(int(c) for c in m.group(5).replace(" ", "").split(",")
                         if c != "")
-        if huge or k ** 3 * math.log2(p) > _MODULUS_SEARCH_CAP:
+        # a k this large is past the bound, and k^3 would not fit a float
+        if k >= 2 ** 64 or k ** 3 * math.log2(p) > _MODULUS_SEARCH_CAP:
             raise CostGuardError(
                 f"field spec {p}^{k} with mod= needs an irreducibility test "
                 f"of degree {k}; guard is k^3 * log2(p) <= "
                 f"{_MODULUS_SEARCH_CAP} with mod=")
-    elif huge or k ** 4 * math.log2(p) > _MODULUS_SEARCH_CAP:
-        raise CostGuardError(
-            f"field spec {p}^{k} without mod= needs a search for an "
-            f"irreducible polynomial of degree {k}; guard is "
-            f"k^4 * log2(p) <= {_MODULUS_SEARCH_CAP} without mod=")
+    else:
+        _check_modulus_search(p, k, f"field spec {p}^{k} without mod=")
     return field_make(p, e, k, modulus, kind)
+
+
+def _check_modulus_search(p, k, what):
+    """Refuse, before it starts, a search for a default modulus of degree k
+    over GF(p) whose cost k^4 log2(p) is past _MODULUS_SEARCH_CAP."""
+    # a k this large is past the bound, and k^4 would not fit a float
+    if k >= 2 ** 64 or k ** 4 * math.log2(p) > _MODULUS_SEARCH_CAP:
+        raise CostGuardError(
+            f"{what} needs a search for an irreducible polynomial of degree "
+            f"{k}; guard is k^4 * log2(p) <= {_MODULUS_SEARCH_CAP} without "
+            f"mod=")
 
 
 # ---------------------------------------------------------------------------
@@ -1132,9 +1139,12 @@ class Embedding:
 
 @lru_cache(maxsize=None)
 def extension_field(base, r):
-    """GF(p^(k*r)) with the same (p, e), default modulus."""
+    """GF(p^(k*r)) with the same (p, e), default modulus.  Its modulus
+    search has the bound of a spec without mod=."""
     if base.kind != "finite":
         raise ValueError("extensions are taken of finite fields only")
+    _check_modulus_search(base.p, base.k * r,
+                          f"the degree-{r} extension of GF({base.p}^{base.k})")
     return field_make(base.p, base.e, base.k * r, None, "finite")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import le
 
 from . import CostGuardError, VerificationError, _check
 from .fields import evaluate_at_zero, field_make
@@ -85,6 +86,23 @@ def _theta_inf(t):
     return sum(bm for m, bm in t.b.items() if m % 2 == 1)
 
 
+_PROFILES = {}
+
+
+def _profile(t):
+    """The numerical profile of t, computed once per type: the tuple
+    (Psi_1, ..., Psi_{2n+2}, Theta_inf) that necessary() compares and the
+    tuple (Theta_1, ..., Theta_{n+1}) that sufficient() adds to it."""
+    got = _PROFILES.get(t)
+    if got is None:
+        n = t.n
+        got = (tuple(psi(t, m) for m in range(1, 2 * n + 3))
+               + (_theta_inf(t),),
+               tuple(theta(t, m) for m in range(1, n + 2)))
+        _PROFILES[t] = got
+    return got
+
+
 def necessary(tA, tB):
     """Necessary condition for a specialization tA ~> tB: Psi_m(tA) <=
     Psi_m(tB) for all m.  All b_m vanish beyond n, so both parities of
@@ -92,10 +110,7 @@ def necessary(tA, tB):
     checking m <= 2n+2 together with the slopes is exact."""
     if tA.n != tB.n:
         raise ValueError("types must have the same dimension")
-    n = tA.n
-    if any(psi(tA, m) > psi(tB, m) for m in range(1, 2 * n + 3)):
-        return False
-    return _theta_inf(tA) <= _theta_inf(tB)
+    return all(map(le, _profile(tA)[0], _profile(tB)[0]))
 
 
 def sufficient(tA, tB):
@@ -103,8 +118,7 @@ def sufficient(tA, tB):
     with Theta_m(tA) <= Theta_m(tB) for all m."""
     if not necessary(tA, tB):
         return False
-    n = tA.n
-    return all(theta(tA, m) <= theta(tB, m) for m in range(1, n + 2))
+    return all(map(le, _profile(tA)[1], _profile(tB)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +487,36 @@ def generator_path(tA, tB):
     return None
 
 
+def _bits(x):
+    """The positions of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _dominance(universe):
+    """Bitsets over universe positions: bit j of nec[i] (of suf[i]) is
+    set when necessary (sufficient) holds for universe[i] ~> universe[j]."""
+    profiles = [_profile(t) for t in universe]
+    nec, suf = [], []
+    for psi_i, theta_i in profiles:
+        x = y = 0
+        for j, (psi_j, theta_j) in enumerate(profiles):
+            if all(map(le, psi_i, psi_j)):
+                x |= 1 << j
+                if all(map(le, theta_i, theta_j)):
+                    y |= 1 << j
+        nec.append(x)
+        suf.append(y)
+    return nec, suf
+
+
+def _select(x, idx):
+    """The bitset over positions of idx whose entries are set in x."""
+    return sum(1 << j for j, u in enumerate(idx) if x >> u & 1)
+
+
 def build_poset(n, restrict=None, cap=_POSET_CAP):
     """Nodes, proven Hasse edges, and unknown-candidate pairs for the
     specialization order in dimension n.
@@ -480,7 +524,8 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
     The proven relation is the transitive closure of the sufficient
     predicate together with reachability under basic moves, computed over
     all types of dimension n; `restrict` then induces the sub-poset on
-    the given types before Hasse reduction.
+    the given types before Hasse reduction.  Relations are held as one
+    int bitset per type.
     """
     if n > cap:
         raise CostGuardError(f"poset construction guarded at n <= {cap}")
@@ -488,27 +533,19 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
     index = {t.key(): i for i, t in enumerate(universe)}
     m = len(universe)
 
-    reach = [[False] * m for _ in range(m)]
+    nec, suf = _dominance(universe)
+    reach = list(suf)
     for i, t in enumerate(universe):
-        reach[i][i] = True
-        for j, s in enumerate(universe):
-            if i != j and sufficient(t, s):
-                reach[i][j] = True
         for (new, _, _, _) in generator_step(t):
-            reach[i][index[new.key()]] = True
+            reach[i] |= 1 << index[new.key()]
     for k in range(m):
-        rk = reach[k]
+        bk, rk = 1 << k, reach[k]
         for i in range(m):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(m):
-                    if rk[j]:
-                        ri[j] = True
-
-    for i in range(m):
-        for j in range(m):
-            if i != j and reach[i][j]:
-                _check(not reach[j][i], "specialization order has a 2-cycle")
+            if reach[i] & bk:
+                reach[i] |= rk
+    # in a closed reflexive relation, i and j reach each other exactly
+    # when they reach the same set
+    _check(len(set(reach)) == m, "specialization order has a 2-cycle")
 
     if restrict is not None:
         chosen = []
@@ -516,39 +553,42 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
             if t.key() not in index:
                 raise ValueError(f"type {t} does not have dimension {n}")
             chosen.append(t)
+        idx = [index[t.key()] for t in chosen]
+        # re-index the relations by position in chosen
+        reach, nec, suf = [[_select(rel[u], idx) for u in idx]
+                           for rel in (reach, nec, suf)]
     else:
         chosen = universe
     nodes = [StratumNode(t) for t in chosen]
-    idx = [index[t.key()] for t in chosen]
 
-    proven = {(str(chosen[i]), str(chosen[j]))
-              for i in range(len(chosen)) for j in range(len(chosen))
-              if i != j and reach[idx[i]][idx[j]]}
+    names = [str(t) for t in chosen]
+    proven = {(names[i], names[j])
+              for i in range(len(chosen)) for j in _bits(reach[i]) if i != j}
 
     edges = []
     unknown = []
     for i, src in enumerate(nodes):
-        for j, dst in enumerate(nodes):
-            if i == j:
-                continue
-            if reach[idx[i]][idx[j]]:
-                # Hasse reduction within the chosen node set
-                if any(k != i and k != j and reach[idx[i]][idx[k]]
-                       and reach[idx[k]][idx[j]] for k in range(len(nodes))):
-                    continue
-                if src.stratum_dim <= dst.stratum_dim:
-                    raise VerificationError(
-                        f"edge {src.t} -> {dst.t} does not lower the "
-                        f"stratum dimension")
-                evidence = ""
-                if sufficient(src.t, dst.t):
-                    evidence += "S"
-                path = generator_path(src.t, dst.t)
-                if path is not None:
-                    evidence += "G"
-                edges.append(SpecEdge(src, dst, evidence, "proven", path))
-            elif necessary(src.t, dst.t):
+        below = reach[i] & ~(1 << i)
+        # Hasse reduction within the chosen node set: drop j when some
+        # other k below i reaches it
+        covered = 0
+        for k in _bits(below):
+            covered |= reach[k] & ~(1 << k)
+        cover = below & ~covered
+        for j in _bits(cover | (nec[i] & ~reach[i])):
+            dst = nodes[j]
+            if not cover >> j & 1:
                 unknown.append(SpecEdge(src, dst, None, "unknown-candidate"))
+                continue
+            if src.stratum_dim <= dst.stratum_dim:
+                raise VerificationError(
+                    f"edge {src.t} -> {dst.t} does not lower the "
+                    f"stratum dimension")
+            evidence = "S" if suf[i] >> j & 1 else ""
+            path = generator_path(src.t, dst.t)
+            if path is not None:
+                evidence += "G"
+            edges.append(SpecEdge(src, dst, evidence, "proven", path))
     return ModuliPoset(n, nodes, edges, unknown, proven)
 
 
@@ -563,7 +603,10 @@ def specialize_query(tA, tB):
     if tA == tB:
         return ("yes", {"kind": "equal"})
     if not necessary(tA, tB):
-        m = 1
+        psi_a, psi_b = _profile(tA)[0][:-1], _profile(tB)[0][:-1]
+        m = next((m for m, (x, y) in enumerate(zip(psi_a, psi_b), 1)
+                  if x > y), len(psi_a) + 1)
+        # past 2n+2 only Theta_inf differs, and Psi_m follows its slope
         while psi(tA, m) <= psi(tB, m):
             m += 1
         return ("no", m)

@@ -187,6 +187,17 @@ class TestNormalFormCommand:
         data = json.loads(out)
         assert code == 0 and data["verified"] and data["extension_degree"] == 3
 
+    def test_extension_guard(self, capsys, tmp_path):
+        # GF(4) extended by 128 needs a default modulus of degree 256
+        path = tmp_path / "one.txt"
+        path.write_text("field: 2^2 q=2 mod=[1,1,1]\nn: 1\n1\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "hermitian", str(path), "--ext", "128")
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == "" and "degree 256" in err
+        code, out, _ = run(capsys, "hermitian", str(path), "--ext", "32")
+        assert code == 0 and json.loads(out)["r"] == 32
+
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
         code, out, err = run(capsys, "normal-form", rational_path)
@@ -256,6 +267,17 @@ class TestHermitianCommand:
     def test_nonpositive_ext_is_input_error(self, capsys, n3_path, ext):
         code, out, err = run(capsys, "hermitian", n3_path, "--ext", ext)
         assert code == 2 and out == "" and "--ext" in err
+
+    def test_extension_guard(self, capsys, tmp_path):
+        # GF(4) extended by 128 needs a default modulus of degree 256
+        path = tmp_path / "one.txt"
+        path.write_text("field: 2^2 q=2 mod=[1,1,1]\nn: 1\n1\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "hermitian", str(path), "--ext", "128")
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == "" and "degree 256" in err
+        code, out, _ = run(capsys, "hermitian", str(path), "--ext", "32")
+        assert code == 0 and json.loads(out)["r"] == 32
 
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):

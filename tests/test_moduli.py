@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,11 +8,97 @@ from qbic.fields import field_make
 from qbic.forms import parse_type
 from qbic.auts import group_dim
 from qbic import moduli
-from qbic.moduli import (build_poset, enumerate_types, generator_path,
-                         generator_step, necessary, psi, specialize_query,
-                         sufficient, theta, witness)
+from qbic.moduli import (ModuliPoset, SpecEdge, StratumNode, build_poset,
+                         enumerate_types, generator_path, generator_step,
+                         necessary, psi, specialize_query, sufficient, theta,
+                         witness)
 
 P = parse_type
+
+# ---------------------------------------------------------------------------
+# reference: the per-pair functionals and the list Floyd-Warshall poset that
+# the profiles and bitsets replaced
+
+
+def reference_necessary(tA, tB):
+    n = tA.n
+    if any(psi(tA, m) > psi(tB, m) for m in range(1, 2 * n + 3)):
+        return False
+    return moduli._theta_inf(tA) <= moduli._theta_inf(tB)
+
+
+def reference_sufficient(tA, tB):
+    if not reference_necessary(tA, tB):
+        return False
+    return all(theta(tA, m) <= theta(tB, m) for m in range(1, tA.n + 2))
+
+
+def reference_specialize_query(tA, tB):
+    if tA == tB:
+        return ("yes", {"kind": "equal"})
+    if not reference_necessary(tA, tB):
+        m = 1
+        while psi(tA, m) <= psi(tB, m):
+            m += 1
+        return ("no", m)
+    if reference_sufficient(tA, tB):
+        return ("yes", {"kind": "sufficient"})
+    path = generator_path(tA, tB)
+    if path is not None:
+        steps = [{"family": f"F{family}", "s": s, "t": tp,
+                  "result": str(new)} for (family, s, tp, new) in path]
+        return ("yes", {"kind": "generator-path", "steps": steps})
+    return ("unknown", None)
+
+
+def reference_build_poset(n, restrict=None):
+    universe = enumerate_types(n)
+    index = {t.key(): i for i, t in enumerate(universe)}
+    m = len(universe)
+    reach = [[False] * m for _ in range(m)]
+    for i, t in enumerate(universe):
+        reach[i][i] = True
+        for j, s in enumerate(universe):
+            if i != j and reference_sufficient(t, s):
+                reach[i][j] = True
+        for (new, _, _, _) in generator_step(t):
+            reach[i][index[new.key()]] = True
+    for k in range(m):
+        for i in range(m):
+            if reach[i][k]:
+                for j in range(m):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    for i in range(m):
+        for j in range(m):
+            assert i == j or not (reach[i][j] and reach[j][i])
+    chosen = universe if restrict is None else list(restrict)
+    nodes = [StratumNode(t) for t in chosen]
+    idx = [index[t.key()] for t in chosen]
+    c = len(chosen)
+    proven = {(str(chosen[i]), str(chosen[j]))
+              for i in range(c) for j in range(c)
+              if i != j and reach[idx[i]][idx[j]]}
+    edges, unknown = [], []
+    for i, src in enumerate(nodes):
+        for j, dst in enumerate(nodes):
+            if i == j:
+                continue
+            if reach[idx[i]][idx[j]]:
+                if any(k != i and k != j and reach[idx[i]][idx[k]]
+                       and reach[idx[k]][idx[j]] for k in range(c)):
+                    continue
+                assert src.stratum_dim > dst.stratum_dim
+                evidence = "S" if reference_sufficient(src.t, dst.t) else ""
+                path = generator_path(src.t, dst.t)
+                if path is not None:
+                    evidence += "G"
+                edges.append(SpecEdge(src, dst, evidence, "proven", path))
+            elif reference_necessary(src.t, dst.t):
+                unknown.append(SpecEdge(src, dst, None, "unknown-candidate"))
+    return ModuliPoset(n, nodes, edges, unknown, proven)
+
+
 
 FIG5_TYPES = ["1^5", "1^3+N2", "1^2+N3", "1+N4", "N5", "1+N2^2", "N2+N3",
               "0+1^4", "0+1^2+N2"]
@@ -250,3 +337,45 @@ def test_failed_f6_witness_raises(monkeypatch):
     with pytest.raises(VerificationError, match="composite move"):
         generator_path(P("1^3"), P("N3"))
     assert generator_path(P("N3"), P("0+1^2")) == [(1, 1, None, P("0+1^2"))]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_predicates_and_queries(self, n):
+        ts = enumerate_types(n)
+        for tA in ts:
+            for tB in ts:
+                assert necessary(tA, tB) == reference_necessary(tA, tB)
+                assert sufficient(tA, tB) == reference_sufficient(tA, tB)
+                assert (specialize_query(tA, tB)
+                        == reference_specialize_query(tA, tB)), (tA, tB)
+
+    @pytest.mark.parametrize("n,restrict", [(n, None) for n in range(1, 9)]
+                             + [(5, FIG5_TYPES), (6, ["1+N2+N3", "N2^3"])])
+    def test_build_poset(self, n, restrict):
+        types = None if restrict is None else [P(s) for s in restrict]
+        got = build_poset(n, restrict=types)
+        ref = reference_build_poset(n, restrict=types)
+        assert got.to_json() == ref.to_json()
+        for flag in (False, True):
+            assert got.to_dot(include_unknown=flag) == \
+                ref.to_dot(include_unknown=flag)
+        assert got.proven == ref.proven
+        assert [(e.src.t, e.dst.t, e.evidence, e.path) for e in got.edges] \
+            == [(e.src.t, e.dst.t, e.evidence, e.path) for e in ref.edges]
+
+
+class TestPosetCost:
+    """CPU-time tripwires, measured with the profile and witness caches
+    emptied; build_poset(8) took 0.5-0.7 s and n = 12 11.7-12.6 s when
+    every pair recomputed Psi and Theta."""
+
+    @pytest.mark.parametrize("n,seconds", [(8, 0.3), (12, 3.0)])
+    def test_build_time(self, monkeypatch, n, seconds):
+        monkeypatch.setattr(moduli, "_PROFILES", {})
+        monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+        start = time.process_time()
+        poset = build_poset(n, cap=n)
+        assert time.process_time() - start < seconds
+        assert len(poset.nodes) == len(enumerate_types(n))
+        assert not poset.unknown
