@@ -142,7 +142,10 @@ def cmd_moduli(args):
     restrict = None
     if args.restrict:
         restrict = [_parse_type_arg(s) for s in args.restrict.split(",")]
-    poset = moduli_mod.build_poset(args.dim, restrict=restrict)
+    try:
+        poset = moduli_mod.build_poset(args.dim, restrict=restrict)
+    except ValueError as ex:
+        raise InputError(f"--restrict: {ex}") from None
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(poset.to_dot(include_unknown=args.include_unknown))

@@ -6,7 +6,12 @@ descriptors require 2e | k so that the quadratic extension F_{q^2} embeds.
 
 Elements are kept in a unique canonical form (degree-reduced polynomial in
 the generator z; fractions in lowest terms with monic denominator), so
-equality is plain representation equality.
+equality is plain representation equality.  Fractions stay reduced
+without a gcd of every result: a product cancels each numerator against
+the other denominator first, a sum divides by g = gcd(d1, d2) and then
+reduces only by a gcd with g, an inverse swaps and rescales, and a power
+raises numerator and denominator apart.  No gcd is taken against a
+constant, so sums and products of polynomials take none.
 
 Fields of order up to TABLE_CAP are _ZechField: log, antilog and Zech
 tables over a primitive element g, built by a walk of order-1 steps of a
@@ -363,7 +368,8 @@ class FieldDescriptor:
             den = [rng.randrange(self.order) for _ in range(degree + 1)]
             if any(den):
                 break
-        return self._make(_rf_reduce(self, num, den))
+        return (self._make((_poly_trim(num), (1,)))
+                / self._make((_poly_trim(den), (1,))))
 
     def parse(self, text):
         return _parse_element(self, text)
@@ -598,22 +604,59 @@ def _poly_gcd(F, a, b):
     return a
 
 
-def _rf_reduce(F, num, den):
-    """Canonical form of a fraction: lowest terms, monic denominator."""
-    num, den = _poly_trim(num), _poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
+# The fraction ops below take reduced operands (numerator and denominator
+# coprime, denominator monic) and return a reduced result, taking gcds only
+# of the parts that can share a factor (P. Henrici, J. ACM 3, 1956; Knuth,
+# TAOCP vol. 2, 4.5.1).  A gcd against a constant is never taken.
+
+
+def _poly_cancel(F, a, b):
+    """(g, a/g, b/g) for the monic g = gcd(a, b) of nonzero a and b."""
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    g = _poly_gcd(F, a, b)
+    if len(g) == 1:
+        return g, a, b
+    return g, _poly_divmod(F, a, g)[0], _poly_divmod(F, b, g)[0]
+
+
+def _rf_mul(F, x, y):
+    """x*y: n1 cancelled against d2, n2 against d1, then multiplied."""
+    (n1, d1), (n2, d2) = x, y
+    if not n1 or not n2:
+        return ((), (1,))
+    _, n1, d2 = _poly_cancel(F, n1, d2)
+    _, n2, d1 = _poly_cancel(F, n2, d1)
+    return (_poly_mul(F, n1, n2), _poly_mul(F, d1, d2))
+
+
+def _rf_add(F, x, y):
+    """x + y = (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)) for g = gcd(d1, d2);
+    the numerator can share a factor with g only."""
+    (n1, d1), (n2, d2) = x, y
+    if not n1:
+        return y
+    if not n2:
+        return x
+    g, c1, c2 = _poly_cancel(F, d1, d2)
+    num = _poly_add(F, _poly_mul(F, n1, c2), _poly_mul(F, n2, c1))
     if not num:
         return ((), (1,))
-    g = _poly_gcd(F, num, den)
-    if len(g) > 1:
-        num = _poly_divmod(F, num, g)[0]
-        den = _poly_divmod(F, den, g)[0]
-    inv_lead = F._finv(den[-1])
-    if den[-1] != 1:
-        num = tuple(F._fmul(c, inv_lead) for c in num)
-        den = tuple(F._fmul(c, inv_lead) for c in den)
-    return (num, den)
+    # the denominator is d1*c2 = g*c1*c2, with g divided by h = gcd(num, g)
+    h, num, g_h = _poly_cancel(F, num, g)
+    den = d1 if len(h) == 1 else _poly_mul(F, g_h, c1)
+    return (num, _poly_mul(F, den, c2))
+
+
+def _poly_pow(F, a, n):
+    r = (1,)
+    while n:
+        if n & 1:
+            r = _poly_mul(F, r, a)
+        n >>= 1
+        if n:
+            a = _poly_mul(F, a, a)
+    return r
 
 
 class FieldElement:
@@ -655,10 +698,7 @@ class FieldElement:
         F = self.field
         if F.kind == "finite":
             return F._make(F._fadd(self.val, other.val))
-        (n1, d1), (n2, d2) = self.val, other.val
-        FB = F.finite_part
-        num = _poly_add(FB, _poly_mul(FB, n1, d2), _poly_mul(FB, n2, d1))
-        return F._make(_rf_reduce(FB, num, _poly_mul(FB, d1, d2)))
+        return F._make(_rf_add(F.finite_part, self.val, other.val))
 
     __radd__ = __add__
 
@@ -685,10 +725,7 @@ class FieldElement:
         F = self.field
         if F.kind == "finite":
             return F._make(F._fmul(self.val, other.val))
-        (n1, d1), (n2, d2) = self.val, other.val
-        FB = F.finite_part
-        return F._make(_rf_reduce(FB, _poly_mul(FB, n1, n2),
-                                  _poly_mul(FB, d1, d2)))
+        return F._make(_rf_mul(F.finite_part, self.val, other.val))
 
     __rmul__ = __mul__
 
@@ -699,7 +736,13 @@ class FieldElement:
         n, d = self.val
         if not n:
             raise ZeroDivisionError("inversion of zero field element")
-        return F._make(_rf_reduce(F.finite_part, d, n))
+        if n[-1] != 1:
+            # coprime already: only the new denominator is made monic
+            FB = F.finite_part
+            inv = FB._finv(n[-1])
+            n = tuple(FB._fmul(c, inv) for c in n)
+            d = tuple(FB._fmul(c, inv) for c in d)
+        return F._make((d, n))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -716,14 +759,10 @@ class FieldElement:
         F = self.field
         if F.kind == "finite":
             return F._make(F._fpow(self.val, n))
-        r = F.one()
-        a = self
-        while n:
-            if n & 1:
-                r = r * a
-            a = a * a
-            n >>= 1
-        return r
+        # powers of coprime polynomials stay coprime
+        FB = F.finite_part
+        num, den = self.val
+        return F._make((_poly_pow(FB, num, n), _poly_pow(FB, den, n)))
 
     # -- identity ------------------------------------------------------------
 
@@ -967,6 +1006,8 @@ class _ElementParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             w = self.factor()
+            if op == "/" and not w:
+                raise ValueError("division by zero in element literal")
             _check_literal_degree(_t_degree(v) + _t_degree(w))
             v = v * w if op == "*" else v / w
         return v

@@ -161,72 +161,68 @@ def special_fiber(form):
     return QBicForm(F, MatrixF(F, rows))
 
 
+def _witness_dim(family, s, t):
+    """The dimension of the family's witness; ValueError on parameters
+    outside the family."""
+    if family in (1, 2, 3):
+        if s < 1:
+            raise ValueError(f"family {family} needs s >= 1")
+        return 2 * s + 1 if family == 1 else 2 * s
+    if family == 4:
+        if t is None or not (s >= t >= 1):
+            raise ValueError("family 4 needs s >= t >= 1")
+        return 4 * s - 2 * t + 2
+    if family == 5:
+        if t is None or s < 1 or t < 1:
+            raise ValueError("family 5 needs s >= 1 and t >= 1")
+        return 4 * s + 2 * t
+    if family == 6:
+        if s < 0:
+            raise ValueError("family 6 needs s >= 0")
+        return 2 * s + 1
+    raise ValueError(f"unknown family {family}")
+
+
 def _witness_gram(field, family, s, t):
     """The degeneration Gram matrix of the given family over GF(q^2)(t),
     with the field's variable t playing the uniformizer."""
     one = field.one()
     pi = field.t_gen()
-
-    def build(n, entries):
-        rows = [[field.zero() for _ in range(n)] for _ in range(n)]
-        for (i, j, v) in entries:
-            rows[i - 1][j - 1] = v
-        return MatrixF(field, rows)
+    n = _witness_dim(family, s, t)
 
     def chain(offset, m):
         # superdiagonal of an N_m block occupying rows/cols offset+1..offset+m
         return [(offset + i, offset + i + 1, one) for i in range(1, m)]
 
     if family == 1:
-        if s < 1:
-            raise ValueError("family 1 needs s >= 1")
-        n = 2 * s + 1
         entries = chain(0, 2 * s - 1) + [(2 * s - 1, 2 * s, pi),
                                          (2 * s, 2 * s + 1, one),
                                          (2 * s + 1, 2 * s, one)]
-        return build(n, entries)
-    if family == 2:
-        if s < 1:
-            raise ValueError("family 2 needs s >= 1")
-        n = 2 * s
+    elif family == 2:
         entries = chain(0, 2 * s - 1) + [(2 * s - 1, 2 * s, pi),
                                          (2 * s, 2 * s, one)]
-        return build(n, entries)
-    if family == 3:
-        if s < 1:
-            raise ValueError("family 3 needs s >= 1")
-        n = 2 * s
+    elif family == 3:
         entries = chain(0, 2 * s - 2) + [(2 * s - 1, 2 * s, one),
                                          (2 * s, 2 * s - 1, pi)]
         if s > 1:
             entries.append((2 * s - 2, 2 * s - 1, one))
-        return build(n, entries)
-    if family == 4:
-        if t is None or not (s >= t >= 1):
-            raise ValueError("family 4 needs s >= t >= 1")
+    elif family == 4:
         mid = 2 * s - 2 * t
-        n = 2 * s + mid + 2
         entries = (chain(0, 2 * s) + chain(2 * s, mid)
                    + [(n - 1, n, one), (2 * s, n - 1, pi)])
         if mid:
             entries.append((2 * s + mid, n - 1, one))
-        return build(n, entries)
-    if family == 5:
-        if t is None or s < 1 or t < 1:
-            raise ValueError("family 5 needs s >= 1 and t >= 1")
-        n = 4 * s + 2 * t
+    elif family == 5:
         entries = (chain(0, 2 * s - 1) + chain(2 * s - 1, 2 * s + 2 * t - 1)
                    + [(n - 1, n, one), (2 * s - 1, n - 1, pi),
                       (n - 2, n - 1, one)])
-        return build(n, entries)
-    if family == 6:
+    else:
         # core move 1 + N_{2s} ~> N_{2s+1} of the composite family
-        if s < 0:
-            raise ValueError("family 6 needs s >= 0")
-        n = 2 * s + 1
         entries = chain(0, n) + [(n, n, pi)]
-        return build(n, entries)
-    raise ValueError(f"unknown family {family}")
+    rows = [[field.zero() for _ in range(n)] for _ in range(n)]
+    for (i, j, v) in entries:
+        rows[i - 1][j - 1] = v
+    return MatrixF(field, rows)
 
 
 def _family_claim(family, s, t):
@@ -258,8 +254,25 @@ def _family_claim(family, s, t):
     raise ValueError(f"unknown family {family}")
 
 
+# witnesses are typed over GF(q^2)(t) with q^2 <= 2^16, where the finite
+# part has Zech tables, and in dimension n <= 40: every admitted witness
+# types in under 0.9 s of CPU (2 shared CPUs, Python 3.11.7; n = 40 at
+# q = 2 in 0.3-0.7 s).  The time grows as about n^3, and with q past the
+# tables: at q = 1024 n = 40 takes 1.2 s, at q = 2 n = 64 takes 2-4 s.
+_WITNESS_DIM_CAP = 40
+_WITNESS_Q_CAP = 256
+
+
 def witness(family, s, t=None, q=2):
-    """Build and verify the degeneration witness of the given family."""
+    """Build and verify the degeneration witness of the given family.
+
+    Refused with CostGuardError, before anything is built, when the
+    dimension passes _WITNESS_DIM_CAP or q passes _WITNESS_Q_CAP."""
+    n = _witness_dim(family, s, t)
+    if n > _WITNESS_DIM_CAP or q > _WITNESS_Q_CAP:
+        raise CostGuardError(
+            f"witness F{family} has dimension {n} over GF({q}^2)(t); guard "
+            f"is n <= {_WITNESS_DIM_CAP} and q <= {_WITNESS_Q_CAP}")
     p, e = _split_prime_power(q)
     K = field_make(p, e, 2 * e, kind="rational-function")
     gram = _witness_gram(K, family, s, t)
@@ -529,6 +542,14 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
     """
     if n > cap:
         raise CostGuardError(f"poset construction guarded at n <= {cap}")
+    if restrict is not None:
+        seen = set()
+        for t in restrict:
+            if t.n != n:
+                raise ValueError(f"type {t} does not have dimension {n}")
+            if t in seen:
+                raise ValueError(f"type {t} is named twice")
+            seen.add(t)
     universe = enumerate_types(n)
     index = {t.key(): i for i, t in enumerate(universe)}
     m = len(universe)
@@ -548,11 +569,7 @@ def build_poset(n, restrict=None, cap=_POSET_CAP):
     _check(len(set(reach)) == m, "specialization order has a 2-cycle")
 
     if restrict is not None:
-        chosen = []
-        for t in restrict:
-            if t.key() not in index:
-                raise ValueError(f"type {t} does not have dimension {n}")
-            chosen.append(t)
+        chosen = list(restrict)
         idx = [index[t.key()] for t in chosen]
         # re-index the relations by position in chosen
         reach, nec, suf = [[_select(rel[u], idx) for u in idx]

@@ -161,6 +161,12 @@ class TestTypeCommand:
         code, _, err = run(capsys, "type", str(path))
         assert code == 2 and "'!'" in err
 
+    def test_division_by_zero_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "div.txt"
+        path.write_text("field: 2^2(t) q=2\nn: 1\n1/(t-t)\n")
+        code, out, err = run(capsys, "type", str(path))
+        assert code == 2 and out == "" and "division by zero" in err
+
 
 class TestNormalFormCommand:
     def test_round_trip_of_emitted_matrices(self, capsys, n3_path):
@@ -320,6 +326,17 @@ class TestModuliCommand:
                          "--restrict", "banana")
         assert code == 2
 
+    def test_restrict_type_of_another_dimension(self, capsys):
+        code, out, err = run(capsys, "moduli", "--dim", "4",
+                             "--restrict", "1^3")
+        assert code == 2 and out == ""
+        assert "1^3 does not have dimension 4" in err
+
+    def test_restrict_type_named_twice(self, capsys):
+        code, out, err = run(capsys, "moduli", "--dim", "3",
+                             "--restrict", "1^3,1^3")
+        assert code == 2 and out == "" and "1^3 is named twice" in err
+
 
 class TestSpecializeCommand:
     def test_yes(self, capsys):
@@ -363,3 +380,33 @@ class TestWitnessCommand:
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "witness", "--family", "9", "--s", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("args,n", [
+        (("--family", "2", "--s", "20"), 40),
+        (("--family", "4", "--s", "19", "--t", "19"), 40),
+        (("--family", "6", "--s", "1", "--q", "256"), 3)])
+    def test_witness_inside_the_guard(self, capsys, args, n):
+        start = time.process_time()
+        code, out, _ = run(capsys, "witness", *args)
+        assert time.process_time() - start < 3.0
+        data = json.loads(out)
+        assert code == 0 and data["verified"] and len(data["gram"]) == n
+
+    @pytest.mark.parametrize("args,seen", [
+        (("--family", "1", "--s", "20"), "dimension 41"),
+        (("--family", "5", "--s", "9", "--t", "3"), "dimension 42"),
+        (("--family", "1", "--s", "1000000000000"), "dimension 2000000000001"),
+        (("--family", "6", "--s", "1", "--q", "257"), "GF(257^2)(t)"),
+        (("--family", "6", "--s", "1", "--q", "1000000007"),
+         "GF(1000000007^2)(t)")])
+    def test_witness_guard(self, capsys, args, seen):
+        start = time.process_time()
+        code, out, err = run(capsys, "witness", *args)
+        assert time.process_time() - start < 0.5
+        assert code == 3 and out == "" and seen in err
+        assert "guard is n <= 40 and q <= 256" in err
+
+    def test_bad_witness_parameters_before_the_guard(self, capsys):
+        code, out, err = run(capsys, "witness", "--family", "4",
+                             "--s", "50", "--t", "60")
+        assert code == 2 and out == "" and "s >= t >= 1" in err

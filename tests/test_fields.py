@@ -7,10 +7,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbic import CostGuardError
-from qbic.fields import (TABLE_CAP, _PolyRing, embed, evaluate_at_zero,
-                         extension_field, field_make, frobenius,
-                         lift_constant, parse_field_spec, qth_root)
+from qbic import CostGuardError, fields, moduli
+from qbic.fields import (TABLE_CAP, _PolyRing, _poly_add, _poly_divmod,
+                         _poly_gcd, _poly_mul, _poly_trim, embed,
+                         evaluate_at_zero, extension_field, field_make,
+                         frobenius, lift_constant, parse_field_spec,
+                         qth_root)
+from qbic.forms import QBicForm, type_report
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +414,134 @@ class TestRationalFunctionField:
         assert evaluate_at_zero(lift_constant(z4, RF4)) == z4
 
 
+# ---------------------------------------------------------------------------
+# reference: GF(q)(t) fractions reduced by a gcd of every result
+
+
+def _rf_reduce(F, num, den):
+    """Canonical form of a fraction: lowest terms, monic denominator."""
+    num, den = _poly_trim(num), _poly_trim(den)
+    if not num:
+        return ((), (1,))
+    g = _poly_gcd(F, num, den)
+    if len(g) > 1:
+        num = _poly_divmod(F, num, g)[0]
+        den = _poly_divmod(F, den, g)[0]
+    inv_lead = F._finv(den[-1])
+    return (tuple(F._fmul(c, inv_lead) for c in num),
+            tuple(F._fmul(c, inv_lead) for c in den))
+
+
+def ref_add(x, y):
+    FB = x.field.finite_part
+    (n1, d1), (n2, d2) = x.val, y.val
+    num = _poly_add(FB, _poly_mul(FB, n1, d2), _poly_mul(FB, n2, d1))
+    return x.field._make(_rf_reduce(FB, num, _poly_mul(FB, d1, d2)))
+
+
+def ref_mul(x, y):
+    FB = x.field.finite_part
+    (n1, d1), (n2, d2) = x.val, y.val
+    return x.field._make(_rf_reduce(FB, _poly_mul(FB, n1, n2),
+                                    _poly_mul(FB, d1, d2)))
+
+
+def ref_inverse(x):
+    n, d = x.val
+    return x.field._make(_rf_reduce(x.field.finite_part, d, n))
+
+
+def ref_pow(x, n):
+    r = x.field.one()
+    for _ in range(n):
+        r = ref_mul(r, x)
+    return r
+
+
+RF9 = field_make(3, 1, 2, kind="rational-function")
+RF16 = field_make(2, 2, 4, kind="rational-function")
+
+
+@st.composite
+def rf_operands(draw):
+    """Two reduced fractions over GF(4)(t), GF(9)(t) or GF(16)(t): x =
+    a*s/(b*u) and a y that shares factors with it crosswise, has its
+    denominator, is a constant or is zero."""
+    K = draw(st.sampled_from([RF4, RF9, RF16]))
+    FB = K.finite_part
+    coeffs = st.lists(st.integers(0, FB.order - 1), min_size=1, max_size=3)
+    nonzero = coeffs.filter(any)
+    a, c = draw(coeffs), draw(coeffs)
+    b, d, s, u = (draw(nonzero) for _ in range(4))
+
+    def frac(*parts):
+        num, den = (1,), (1,)
+        for i, part in enumerate(parts):
+            if i % 2:
+                den = _poly_mul(FB, den, tuple(part))
+            else:
+                num = _poly_mul(FB, num, tuple(part))
+        return K._make(_rf_reduce(FB, num, den))
+
+    x = frac(a, b, s, u)
+    shape = draw(st.sampled_from(["crosswise", "same denominator",
+                                  "constant", "zero"]))
+    if shape == "crosswise":
+        y = frac(c, d, u, s)
+    elif shape == "same denominator":
+        y = x + frac(c[:1] or [1])
+    elif shape == "constant":
+        y = frac(c[:1])
+    else:
+        y = K.zero()
+    return draw(st.permutations([x, y]))
+
+
+class TestFractionsAgainstReference:
+    """Cross-cancelled products and Henrici's sums give the same canonical
+    fractions as a gcd of every result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rf_operands())
+    def test_ops(self, xy):
+        x, y = xy
+        assert (x + y).val == ref_add(x, y).val
+        assert (x - y).val == ref_add(x, -y).val
+        assert (x * y).val == ref_mul(x, y).val
+        if y:
+            assert y.inverse().val == ref_inverse(y).val
+            assert (x / y).val == ref_mul(x, ref_inverse(y)).val
+        for n in range(5):
+            assert (x ** n).val == ref_pow(x, n).val
+        if x:
+            assert (x ** -2).val == ref_pow(ref_inverse(x), 2).val
+
+
+# the 14 family witnesses of the classify-ladder benchmark
+LADDER_WITNESSES = ((1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
+                    (2, 3, None), (3, 1, None), (3, 2, None), (3, 3, None),
+                    (4, 1, 1), (4, 2, 2), (5, 1, 1), (6, 0, None),
+                    (6, 1, None), (6, 2, None))
+
+
+def test_gcds_typing_the_ladder_witnesses(monkeypatch):
+    """A deterministic work count: the polynomial gcds taken while typing
+    the classify-ladder witnesses over GF(4)(t).  A gcd of every sum and
+    product took 1843."""
+    calls = []
+    gcd = fields._poly_gcd
+
+    def counted(*args):
+        calls.append(None)
+        return gcd(*args)
+
+    monkeypatch.setattr(fields, "_poly_gcd", counted)
+    for fam, s, t in LADDER_WITNESSES:
+        gram = moduli._witness_gram(RF4, fam, s, t)
+        type_report(QBicForm(RF4, gram))
+    assert len(calls) == 156
+
+
 class TestConstructionAndParsing:
     def test_field_make_validation(self):
         with pytest.raises(ValueError):
@@ -482,6 +613,30 @@ class TestGuardsAndLimits:
         except (ValueError, CostGuardError):
             return
         assert parse_field_spec(F.spec_string()) is F
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([GF4, GF9, RF4]), st.one_of(
+        st.text("0123456789zt()+-*/^ ", max_size=20),
+        st.recursive(
+            st.sampled_from(["0", "1", "2", "12", "z", "t", " z "]),
+            lambda inner: st.one_of(
+                st.builds("{}{}{}".format, inner,
+                          st.sampled_from("+-*/"), inner),
+                st.builds("{}^{}".format, inner, st.integers(0, 40)),
+                inner.map("({})".format),
+                inner.map("-{}".format)),
+            max_leaves=8)))
+    def test_literals_raise_only_value_or_guard_errors(self, F, text):
+        try:
+            x = F.parse(text)
+        except (ValueError, CostGuardError):
+            return
+        assert F.parse(str(x)) == x
+
+    def test_division_by_zero_in_a_literal(self):
+        for F, text in ((GF4, "1/0"), (GF9, "z/(z-z)"), (RF4, "t/(t+t)")):
+            with pytest.raises(ValueError, match="division by zero"):
+                F.parse(text)
 
     @pytest.mark.parametrize("p,k", [(3, 10), (251, 2)])
     def test_construction_time(self, p, k):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_form, random_invertible, rng_for
-from qbic import VerificationError
+from qbic import CostGuardError, VerificationError
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
@@ -102,6 +102,27 @@ class TestType:
             TypeSignature(0, {0: 1})
         with pytest.raises(ValueError):
             parse_type("banana")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.text("01N^+ 2345", max_size=16),
+        st.lists(st.builds("{}{}{}{}".format,
+                           st.sampled_from(["", " "]),
+                           st.sampled_from(["0", "1", "N", "N0", "N1",
+                                            "N7", "N12", "2", "N-1"]),
+                           st.sampled_from(["", "^0", "^1", "^3", "^",
+                                            "^x", "^12"]),
+                           st.sampled_from(["", " "])),
+                 max_size=5).map("+".join)))
+    def test_type_strings_raise_only_value_or_guard_errors(self, text):
+        try:
+            t = parse_type(text)
+        except (ValueError, CostGuardError):
+            return
+        if t.n:
+            assert parse_type(str(t)) == t
+        else:
+            assert str(t) == "(empty)"
 
 
 class TestDescentIndex:

@@ -258,8 +258,10 @@ class TestPoset:
             build_poset(9)
 
     def test_restrict_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not have dimension 5"):
             build_poset(5, restrict=[P("1^4")])
+        with pytest.raises(ValueError, match="named twice"):
+            build_poset(3, restrict=[P("1^3"), P("N3"), P("1^3")])
 
     def test_antisymmetry_and_dim_decrease(self):
         poset = build_poset(6)
