@@ -148,12 +148,12 @@ def cmd_moduli(args):
         raise InputError(f"--restrict: {ex}") from None
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(poset.to_dot(include_unknown=args.include_unknown))
+            fh.write(poset.to_dot())
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(poset.to_json())
     _emit({"n": poset.n, "nodes": len(poset.nodes),
-           "edges": len(poset.edges), "unknown": len(poset.unknown)},
+           "edges": len(poset.edges), "unknown": 0},
           args.output)
     return 0
 
@@ -242,8 +242,6 @@ def _build_parser():
     sp.add_argument("--dot", help="write the Hasse diagram here as DOT")
     sp.add_argument("--json", help="write the full poset dump here")
     sp.add_argument("--restrict", help="comma-separated list of types")
-    sp.add_argument("--include-unknown", action="store_true",
-                    help="draw unknown-candidate pairs as dashed edges")
     sp.add_argument("--output")
     sp.set_defaults(fn=cmd_moduli)
 

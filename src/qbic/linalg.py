@@ -621,6 +621,8 @@ def parse_matrix_file(text):
         n = int(lines[1][len("n:"):].strip())
     except ValueError:
         raise ValueError("bad dimension in 'n:' header") from None
+    if n < 1:
+        raise ValueError("dimension in 'n:' header must be positive")
     if len(lines) != 2 + n:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
     rows = []

@@ -3,10 +3,10 @@
 Types of q-bic forms stratify the space of Gram matrices; a type tA
 specializes to tB when the orbit closure of tA contains tB.  This module
 enumerates all types of a given dimension, evaluates the numerical
-necessary and sufficient conditions for specialization, closes the basic
-degeneration moves into a reachability relation, assembles the Hasse
-diagram with per-edge evidence, and constructs explicit one-parameter
-degeneration witnesses over GF(q^2)(t).
+necessary and sufficient conditions for specialization, and assembles
+the Hasse diagram of the necessary (Psi) relation, certifying each cover
+by a path of basic degeneration moves.  It also constructs explicit
+one-parameter degeneration witnesses over GF(q^2)(t).
 """
 
 from __future__ import annotations
@@ -311,78 +311,65 @@ def _verify_f6_core(s, q=2):
 
 
 # ---------------------------------------------------------------------------
-# generator steps and reachability
+# generator steps and paths
 
 
-def generator_step(t, verify_f6=True):
+def generator_step(t):
     """All types reachable from t by a single basic degeneration move.
 
     Returns (new type, family id, s, t-parameter) tuples; every emitted
-    step satisfies the necessary predicate.  Composite family-6 instances
-    are checked against a degeneration witness unless verify_f6 is False;
-    a failed witness raises VerificationError.
+    step satisfies the necessary predicate.  Composite family-6 moves are
+    backed by their core witness only where generator_path returns them.
     """
     results = []
 
-    def emit(new, family, s, tp):
+    def emit(family, s, tp, da, removals, additions):
+        # callers check that the removed blocks exist; N_0 is no block
+        b = dict(t.b)
+        for m in removals:
+            if m:
+                b[m] -= 1
+        for m in additions:
+            b[m] = b.get(m, 0) + 1
+        new = TypeSignature(t.a + da, b)
         if not necessary(t, new):
             raise VerificationError(
                 f"move {t} ~> {new} (family {family}, s={s}, t={tp}) "
                 f"violates the necessary predicate")
         results.append((new, family, s, tp))
 
-    def moved(da, removals, additions):
-        b = dict(t.b)
-        for m in removals:
-            b[m] = b.get(m, 0) - 1
-            if b[m] < 0:
-                return None
-        for m in additions:
-            b[m] = b.get(m, 0) + 1
-        if t.a + da < 0:
-            return None
-        return TypeSignature(t.a + da, b)
-
     mu = t.max_block() or 0
     n = t.n
     # F1: N_{2s+1} ~> 1^2 + N_{2s-1}
     for s in range(1, mu // 2 + 1):
         if t.b_m(2 * s + 1):
-            emit(moved(2, [2 * s + 1], [2 * s - 1]), 1, s, None)
+            emit(1, s, None, 2, [2 * s + 1], [2 * s - 1])
     # F2: N_{2s} ~> 1 + N_{2s-1}
     for s in range(1, mu // 2 + 1):
         if t.b_m(2 * s):
-            emit(moved(1, [2 * s], [2 * s - 1]), 2, s, None)
+            emit(2, s, None, 1, [2 * s], [2 * s - 1])
     # F3: 1^2 + N_{2s-2} ~> N_{2s}
     if t.a >= 2:
         for s in range(1, n // 2 + 1):
             if s == 1 or t.b_m(2 * s - 2):
-                new = moved(-2, [] if s == 1 else [2 * s - 2], [2 * s])
-                if new is not None:
-                    emit(new, 3, s, None)
+                emit(3, s, None, -2, [2 * s - 2], [2 * s])
     # F4: N_{2s-2t} + N_{2s+2} ~> N_{2s-2t+2} + N_{2s}
     for s in range(1, mu // 2 + 1):
         if not t.b_m(2 * s + 2):
             continue
         for tp in range(1, s + 1):
             if s == tp or t.b_m(2 * s - 2 * tp):
-                removals = [2 * s + 2] if s == tp else [2 * s + 2,
-                                                        2 * s - 2 * tp]
-                new = moved(0, removals, [2 * s - 2 * tp + 2, 2 * s])
-                if new is not None:
-                    emit(new, 4, s, tp)
+                emit(4, s, tp, 0, [2 * s + 2, 2 * s - 2 * tp],
+                     [2 * s - 2 * tp + 2, 2 * s])
     # F5: N_{2s+1} + N_{2s+2t-1} ~> N_{2s-1} + N_{2s+2t+1}
     for s in range(1, mu // 2 + 1):
         if not t.b_m(2 * s + 1):
             continue
         for tp in range(1, (mu - 2 * s + 2) // 2 + 1):
             hi = 2 * s + 2 * tp - 1
-            need = 2 if hi == 2 * s + 1 else 1
-            if t.b_m(hi) < need or not t.b_m(2 * s + 1):
-                continue
-            new = moved(0, [2 * s + 1, hi], [2 * s - 1, 2 * s + 2 * tp + 1])
-            if new is not None:
-                emit(new, 5, s, tp)
+            if t.b_m(hi) >= (2 if tp == 1 else 1):
+                emit(5, s, tp, 0, [2 * s + 1, hi],
+                     [2 * s - 1, 2 * s + 2 * tp + 1])
     # F6 composite: 1^{2t-2s-1} + N_{2s} ~> N_{2t-1}; expands into F3
     # steps followed by the core move 1 + N_{2t-2} ~> N_{2t-1}
     for s in range(0, mu // 2 + 1):
@@ -392,11 +379,7 @@ def generator_step(t, verify_f6=True):
             ones = 2 * tp - 2 * s - 1
             if t.a < ones:
                 break
-            if verify_f6:
-                _verify_f6_core(tp - 1)
-            new = moved(-ones, [2 * s] if s else [], [2 * tp - 1])
-            if new is not None:
-                emit(new, 6, s, tp)
+            emit(6, s, tp, -ones, [2 * s], [2 * tp - 1])
     return results
 
 
@@ -417,29 +400,26 @@ class StratumNode:
 
 
 class SpecEdge:
-    __slots__ = ("src", "dst", "evidence", "status", "path")
+    __slots__ = ("src", "dst", "evidence", "path")
 
-    def __init__(self, src, dst, evidence, status, path=None):
+    def __init__(self, src, dst, evidence, path):
         self.src = src
         self.dst = dst
-        self.evidence = evidence   # "S", "G", or "SG" for proven edges
-        self.status = status       # "proven" | "unknown-candidate"
-        self.path = path           # generator steps when evidence has G
+        self.evidence = evidence   # "G", or "SG" when sufficient holds too
+        self.path = path           # the generator steps from src to dst
 
     def __repr__(self):
-        return (f"SpecEdge({self.src.t} ~> {self.dst.t}, "
-                f"{self.evidence or '?'}, {self.status})")
+        return f"SpecEdge({self.src.t} ~> {self.dst.t}, {self.evidence})"
 
 
 class ModuliPoset:
-    def __init__(self, n, nodes, edges, unknown, proven):
+    def __init__(self, n, nodes, edges, proven):
         self.n = n
         self.nodes = nodes
-        self.edges = edges         # Hasse-reduced proven edges
-        self.unknown = unknown     # unknown-candidate SpecEdges
-        self.proven = proven       # full proven relation as a set of pairs
+        self.edges = edges         # Hasse edges, each certified by a path
+        self.proven = proven       # full relation as a set of pairs
 
-    def to_dot(self, include_unknown=False):
+    def to_dot(self):
         lines = ["digraph qbics {", "  rankdir=LR;"]
         for node in self.nodes:
             lines.append(f'  "{node.t}" [label="{node.t}\\n'
@@ -447,10 +427,6 @@ class ModuliPoset:
         for edge in self.edges:
             lines.append(f'  "{edge.src.t}" -> "{edge.dst.t}" '
                          f'[label="{edge.evidence}"];')
-        if include_unknown:
-            for edge in self.unknown:
-                lines.append(f'  "{edge.src.t}" -> "{edge.dst.t}" '
-                             '[style=dashed];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -461,10 +437,9 @@ class ModuliPoset:
                        "stratum_dim": node.stratum_dim,
                        "codim": node.codim} for node in self.nodes],
             "edges": [{"from": str(edge.src.t), "to": str(edge.dst.t),
-                       "evidence": edge.evidence, "status": edge.status}
+                       "evidence": edge.evidence, "status": "proven"}
                       for edge in self.edges],
-            "unknown": [{"from": str(edge.src.t), "to": str(edge.dst.t),
-                         "status": edge.status} for edge in self.unknown],
+            "unknown": [],
         }
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -478,7 +453,7 @@ def generator_path(tA, tB):
     queue = deque([tA])
     while queue:
         cur = queue.popleft()
-        for (new, family, s, tp) in generator_step(cur, verify_f6=False):
+        for (new, family, s, tp) in generator_step(cur):
             keyn = new.key()
             if keyn in seen or not necessary(new, tB):
                 continue
@@ -508,105 +483,68 @@ def _bits(x):
         x ^= low
 
 
-def _dominance(universe):
-    """Bitsets over universe positions: bit j of nec[i] (of suf[i]) is
-    set when necessary (sufficient) holds for universe[i] ~> universe[j]."""
-    profiles = [_profile(t) for t in universe]
-    nec, suf = [], []
-    for psi_i, theta_i in profiles:
-        x = y = 0
-        for j, (psi_j, theta_j) in enumerate(profiles):
-            if all(map(le, psi_i, psi_j)):
-                x |= 1 << j
-                if all(map(le, theta_i, theta_j)):
-                    y |= 1 << j
-        nec.append(x)
-        suf.append(y)
-    return nec, suf
+def _dominance(types):
+    """Bitsets over positions in types: bit j of nec[i] is set when
+    necessary holds for types[i] ~> types[j]."""
+    psis = [_profile(t)[0] for t in types]
+    return [sum(1 << j for j, psi_j in enumerate(psis)
+                if all(map(le, psi_i, psi_j)))
+            for psi_i in psis]
 
 
-def _select(x, idx):
-    """The bitset over positions of idx whose entries are set in x."""
-    return sum(1 << j for j, u in enumerate(idx) if x >> u & 1)
+def build_poset(n, restrict=None):
+    """Nodes and Hasse edges of the specialization order in dimension n,
+    on all types or on the types of `restrict`.
 
-
-def build_poset(n, restrict=None, cap=_POSET_CAP):
-    """Nodes, proven Hasse edges, and unknown-candidate pairs for the
-    specialization order in dimension n.
-
-    The proven relation is the transitive closure of the sufficient
-    predicate together with reachability under basic moves, computed over
-    all types of dimension n; `restrict` then induces the sub-poset on
-    the given types before Hasse reduction.  Relations are held as one
-    int bitset per type.
+    The relation is the necessary (Psi) predicate, held as one int bitset
+    per type.  Each Hasse cover must be joined by a path of basic moves,
+    or VerificationError is raised.  Moves satisfy Psi and Psi is
+    transitive, so the moves then reach exactly the reported relation.
     """
-    if n > cap:
-        raise CostGuardError(f"poset construction guarded at n <= {cap}")
-    if restrict is not None:
+    if n > _POSET_CAP:
+        raise CostGuardError(f"poset construction guarded at n <= "
+                             f"{_POSET_CAP}")
+    if restrict is None:
+        chosen = enumerate_types(n)
+    else:
+        chosen = list(restrict)
         seen = set()
-        for t in restrict:
+        for t in chosen:
             if t.n != n:
                 raise ValueError(f"type {t} does not have dimension {n}")
             if t in seen:
                 raise ValueError(f"type {t} is named twice")
             seen.add(t)
-    universe = enumerate_types(n)
-    index = {t.key(): i for i, t in enumerate(universe)}
-    m = len(universe)
-
-    nec, suf = _dominance(universe)
-    reach = list(suf)
-    for i, t in enumerate(universe):
-        for (new, _, _, _) in generator_step(t):
-            reach[i] |= 1 << index[new.key()]
-    for k in range(m):
-        bk, rk = 1 << k, reach[k]
-        for i in range(m):
-            if reach[i] & bk:
-                reach[i] |= rk
-    # in a closed reflexive relation, i and j reach each other exactly
+    nec = _dominance(chosen)
+    # in a reflexive transitive relation, i and j reach each other exactly
     # when they reach the same set
-    _check(len(set(reach)) == m, "specialization order has a 2-cycle")
+    _check(len(set(nec)) == len(chosen), "specialization order has a 2-cycle")
 
-    if restrict is not None:
-        chosen = list(restrict)
-        idx = [index[t.key()] for t in chosen]
-        # re-index the relations by position in chosen
-        reach, nec, suf = [[_select(rel[u], idx) for u in idx]
-                           for rel in (reach, nec, suf)]
-    else:
-        chosen = universe
     nodes = [StratumNode(t) for t in chosen]
-
     names = [str(t) for t in chosen]
     proven = {(names[i], names[j])
-              for i in range(len(chosen)) for j in _bits(reach[i]) if i != j}
+              for i in range(len(chosen)) for j in _bits(nec[i]) if i != j}
 
     edges = []
-    unknown = []
     for i, src in enumerate(nodes):
-        below = reach[i] & ~(1 << i)
-        # Hasse reduction within the chosen node set: drop j when some
-        # other k below i reaches it
+        below = nec[i] & ~(1 << i)
+        # Hasse reduction: drop j when some other k below i reaches it
         covered = 0
         for k in _bits(below):
-            covered |= reach[k] & ~(1 << k)
-        cover = below & ~covered
-        for j in _bits(cover | (nec[i] & ~reach[i])):
+            covered |= nec[k] & ~(1 << k)
+        for j in _bits(below & ~covered):
             dst = nodes[j]
-            if not cover >> j & 1:
-                unknown.append(SpecEdge(src, dst, None, "unknown-candidate"))
-                continue
             if src.stratum_dim <= dst.stratum_dim:
                 raise VerificationError(
                     f"edge {src.t} -> {dst.t} does not lower the "
                     f"stratum dimension")
-            evidence = "S" if suf[i] >> j & 1 else ""
             path = generator_path(src.t, dst.t)
-            if path is not None:
-                evidence += "G"
-            edges.append(SpecEdge(src, dst, evidence, "proven", path))
-    return ModuliPoset(n, nodes, edges, unknown, proven)
+            if path is None:
+                raise VerificationError(
+                    f"cover {src.t} -> {dst.t} has no path of basic moves")
+            evidence = "SG" if sufficient(src.t, dst.t) else "G"
+            edges.append(SpecEdge(src, dst, evidence, path))
+    return ModuliPoset(n, nodes, edges, proven)
 
 
 def specialize_query(tA, tB):

@@ -338,6 +338,16 @@ class TestModuliCommand:
         assert code == 2 and out == "" and "1^3 is named twice" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["aut", "--type", "N100000000"],
+    ["specialize", "--from", "N1000000", "--to", "1+N999999"]])
+def test_type_dimension_guard(capsys, argv):
+    start = time.time()
+    code, out, err = run(capsys, *argv)
+    assert time.time() - start < 1.0
+    assert code == 3 and out == "" and "guard is n <= 512" in err
+
+
 class TestSpecializeCommand:
     def test_yes(self, capsys):
         code, out, _ = run(capsys, "specialize", "--from", "N3^2",

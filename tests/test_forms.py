@@ -103,6 +103,13 @@ class TestType:
         with pytest.raises(ValueError):
             parse_type("banana")
 
+    def test_type_dimension_guard(self):
+        assert parse_type("N500+1^12").n == 512
+        for text in ("N513", "1^512+0", "N2^257", "N256+N256+1",
+                     "N10^1000000000000"):
+            with pytest.raises(CostGuardError, match="guard is n <= 512"):
+                parse_type(text)
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
         st.text("01N^+ 2345", max_size=16),

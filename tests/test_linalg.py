@@ -1,5 +1,13 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from qbic import CostGuardError
+from qbic.cli import main
 
 from qbic.fields import field_make, frobenius, qth_root
 from qbic.linalg import (MatrixF, Subspace, complement, descent_test, image,
@@ -191,6 +199,40 @@ class TestMatrixFiles:
             parse_matrix_file("field: 2^2 q=2\nn: 2\n0 0\n0\n")
         with pytest.raises(ValueError, match="entry 1"):
             parse_matrix_file("field: 2^2 q=2\nn: 1\n!\n")
+        with pytest.raises(ValueError, match="must be positive"):
+            parse_matrix_file("field: 2^2 q=2\nn: 0\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+               st.sampled_from(["field: 2^2 q=2", "field: 3^2 q=3",
+                                "field: 2^2(t) q=2 mod=[1,1,1]",
+                                "field: 5 q=5", "field:", "field: 2^2",
+                                "field 2^2 q=2", "n: 1", ""]),
+               st.text("0123456789^ q=mod[],(t)", max_size=16).map(
+                   "field: {}".format)),
+           st.one_of(
+               st.integers(-2, 4).map("n: {}".format),
+               st.sampled_from(["n: 100000", "n: 2_0", "n:", "n: x",
+                                "n: 1.5", "n 2", "field: 2^2 q=2"])),
+           st.lists(st.lists(st.sampled_from(
+               ["0", "1", "2", "z", "t", "z^2+1", "(z+t)/t", "1/0", "(",
+                "!", "z^1000", "t^1025", "t^600*t^600"]),
+               max_size=4).map(" ".join), max_size=4))
+    def test_hostile_files_are_refused_cleanly(self, header, dim, rows):
+        text = "\n".join([header, dim, *rows]) + "\n"
+        try:
+            parse_matrix_file(text)
+            parsed = True
+        except (ValueError, CostGuardError):
+            parsed = False
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gram.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["type", path])
+        assert code in ((0,) if parsed else (2, 3))
 
 
 # ---------------------------------------------------------------------------

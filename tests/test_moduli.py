@@ -7,6 +7,7 @@ from qbic import CostGuardError, VerificationError
 from qbic.fields import field_make
 from qbic.forms import parse_type
 from qbic.auts import group_dim
+from qbic.cli import main
 from qbic import moduli
 from qbic.moduli import (ModuliPoset, SpecEdge, StratumNode, build_poset,
                          enumerate_types, generator_path, generator_step,
@@ -16,8 +17,9 @@ from qbic.moduli import (ModuliPoset, SpecEdge, StratumNode, build_poset,
 P = parse_type
 
 # ---------------------------------------------------------------------------
-# reference: the per-pair functionals and the list Floyd-Warshall poset that
-# the profiles and bitsets replaced
+# reference: the per-pair functionals, and the list Floyd-Warshall closure
+# of the sufficient predicate and the basic moves that the path-certified
+# Psi relation replaced
 
 
 def reference_necessary(tA, tB):
@@ -52,6 +54,8 @@ def reference_specialize_query(tA, tB):
 
 
 def reference_build_poset(n, restrict=None):
+    """The closure poset and its unknown-candidate pairs (necessary but
+    not in the closure)."""
     universe = enumerate_types(n)
     index = {t.key(): i for i, t in enumerate(universe)}
     m = len(universe)
@@ -93,10 +97,10 @@ def reference_build_poset(n, restrict=None):
                 path = generator_path(src.t, dst.t)
                 if path is not None:
                     evidence += "G"
-                edges.append(SpecEdge(src, dst, evidence, "proven", path))
+                edges.append(SpecEdge(src, dst, evidence, path))
             elif reference_necessary(src.t, dst.t):
-                unknown.append(SpecEdge(src, dst, None, "unknown-candidate"))
-    return ModuliPoset(n, nodes, edges, unknown, proven)
+                unknown.append((src.t, dst.t))
+    return ModuliPoset(n, nodes, edges, proven), unknown
 
 
 
@@ -248,7 +252,6 @@ class TestPoset:
         poset = build_poset(5, restrict=[P(s) for s in FIG5_TYPES])
         got = {(str(e.src.t), str(e.dst.t)) for e in poset.edges}
         assert got == FIG5_EDGES
-        assert not poset.unknown
         dims = {str(node.t): node.stratum_dim for node in poset.nodes}
         assert [dims[s] for s in FIG5_TYPES] == \
             [25, 24, 21, 23, 22, 21, 20, 20, 19]
@@ -270,7 +273,7 @@ class TestPoset:
             assert (b, a) not in pairs
         for e in poset.edges:
             assert e.src.stratum_dim > e.dst.stratum_dim
-            assert e.status == "proven" and e.evidence in ("S", "G", "SG")
+            assert e.evidence in ("G", "SG") and e.path
 
     def test_monotonicity_transport(self):
         # proven(tA ~> tB) stays proven after adding any summand
@@ -291,13 +294,6 @@ class TestPoset:
         data = json.loads(poset.to_json())
         assert len(data["nodes"]) == 9 and len(data["edges"]) == 10
         assert data["unknown"] == []
-
-    def test_dot_unknown_dashed(self):
-        # the n=15 open pair renders dashed when both types are kept;
-        # build a small poset that has an unknown pair instead
-        poset = build_poset(6, restrict=[P("1+N2+N3"), P("N2^3")])
-        # 1+N2+N3 cannot reach N2^3 (Psi_3 drops) nor conversely
-        assert all(e.status == "unknown-candidate" for e in poset.unknown)
 
 
 class TestSpecializeQuery:
@@ -323,7 +319,39 @@ class TestSpecializeQuery:
 def test_generator_step_checks_the_necessary_predicate(monkeypatch):
     monkeypatch.setattr(moduli, "necessary", lambda s, t: False)
     with pytest.raises(VerificationError, match="necessary predicate"):
-        generator_step(P("1^3"), verify_f6=False)
+        generator_step(P("1^3"))
+
+
+def test_move_closure_is_the_psi_relation():
+    # the theorem build_poset rests on: closing the basic moves gives
+    # exactly the necessary (Psi) relation
+    for n in range(1, 12):
+        ts = enumerate_types(n)
+        index = {t: i for i, t in enumerate(ts)}
+        reach = [1 << i for i in range(len(ts))]
+        for i, t in enumerate(ts):
+            for (new, _, _, _) in generator_step(t):
+                reach[i] |= 1 << index[new]
+        for k in range(len(ts)):
+            for i in range(len(ts)):
+                if reach[i] >> k & 1:
+                    reach[i] |= reach[k]
+        assert reach == [sum(1 << j for j, u in enumerate(ts)
+                             if necessary(t, u)) for t in ts], n
+
+
+def test_cover_without_a_path_raises(monkeypatch, capsys):
+    cover = build_poset(3).edges[0]
+    real = moduli.generator_path
+    monkeypatch.setattr(
+        moduli, "generator_path",
+        lambda a, b: None if (a, b) == (cover.src.t, cover.dst.t)
+        else real(a, b))
+    with pytest.raises(VerificationError, match="no path of basic moves"):
+        build_poset(3)
+    assert main(["moduli", "--dim", "3"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "no path of basic moves" in out.err
 
 
 def test_failed_f6_witness_raises(monkeypatch):
@@ -334,8 +362,6 @@ def test_failed_f6_witness_raises(monkeypatch):
 
     monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
     monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
-    with pytest.raises(VerificationError, match="composite move"):
-        generator_step(P("1^3"))
     with pytest.raises(VerificationError, match="composite move"):
         generator_path(P("1^3"), P("N3"))
     assert generator_path(P("N3"), P("0+1^2")) == [(1, 1, None, P("0+1^2"))]
@@ -357,11 +383,10 @@ class TestAgainstReference:
     def test_build_poset(self, n, restrict):
         types = None if restrict is None else [P(s) for s in restrict]
         got = build_poset(n, restrict=types)
-        ref = reference_build_poset(n, restrict=types)
+        ref, unknown = reference_build_poset(n, restrict=types)
+        assert unknown == []
         assert got.to_json() == ref.to_json()
-        for flag in (False, True):
-            assert got.to_dot(include_unknown=flag) == \
-                ref.to_dot(include_unknown=flag)
+        assert got.to_dot() == ref.to_dot()
         assert got.proven == ref.proven
         assert [(e.src.t, e.dst.t, e.evidence, e.path) for e in got.edges] \
             == [(e.src.t, e.dst.t, e.evidence, e.path) for e in ref.edges]
@@ -376,8 +401,8 @@ class TestPosetCost:
     def test_build_time(self, monkeypatch, n, seconds):
         monkeypatch.setattr(moduli, "_PROFILES", {})
         monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+        monkeypatch.setattr(moduli, "_POSET_CAP", n)
         start = time.process_time()
-        poset = build_poset(n, cap=n)
+        poset = build_poset(n)
         assert time.process_time() - start < seconds
         assert len(poset.nodes) == len(enumerate_types(n))
-        assert not poset.unknown
