@@ -53,18 +53,10 @@ def group_dim(t):
 def phi(t, m):
     """Growth coefficient of group_dim under direct sums: adding one N_m
     summand to a fixed form of type t increases the dimension by phi(t, m)
-    plus the contribution of the new summand itself."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m % 2 == 1:
-        k = (m + 1) // 2
-        return (t.n + t.b_m(2 * k - 1)
-                + 2 * sum((k - l) * t.b_m(2 * l - 1) for l in range(1, k)))
-    k = m // 2
-    mu = t.max_block() or 0
-    return (sum(2 * l * t.b_m(2 * l) for l in range(1, k))
-            + 2 * k * (sum(t.b_m(2 * l - 1) for l in range(1, mu + 1))
-                       + sum(t.b_m(2 * l) for l in range(k, mu + 1))))
+    plus the contribution of the new summand itself.  It is Psi_m(t) + n
+    for odd m and 2 Psi_m(t) for even m."""
+    from .moduli import psi   # moduli imports this module
+    return psi(t, m) + t.n if m % 2 == 1 else 2 * psi(t, m)
 
 
 def _guard_text(field, n, candidates=None):

@@ -176,8 +176,6 @@ def cmd_specialize(args):
 
 
 def cmd_witness(args):
-    if not 1 <= args.family <= 6:
-        raise InputError("--family must be 1..6")
     try:
         w = moduli_mod.witness(args.family, args.s, args.t, q=args.q)
     except ValueError as ex:

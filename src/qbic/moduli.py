@@ -11,6 +11,7 @@ one-parameter degeneration witnesses over GF(q^2)(t).
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from operator import le
@@ -22,6 +23,11 @@ from .auts import group_dim
 from .linalg import MatrixF
 
 _POSET_CAP = 8
+# the moves generator_path may generate before it is refused: every pair
+# with n <= 13 needs at most 100, while a common summand makes the search
+# grow with it (1+N3^2+N8+N100 ~> 0+N7^2+N100 is refused in 0.15 s of
+# CPU; 2 shared CPUs, Python 3.11.7)
+_PATH_BUDGET = 2000
 
 # basic degeneration families: (family id, human-readable rewrite)
 FAMILY_RULES = {
@@ -62,63 +68,63 @@ def enumerate_types(n):
     return out
 
 
+def _block_psi(m, j):
+    """Psi_j of a single N_m block.  Psi_j is linear in the block counts
+    and `a` does not enter it, so Psi_j of a type is the sum of this over
+    its blocks."""
+    if j % 2 == 0:
+        return j // 2 if m % 2 == 1 else min(m, j) // 2
+    if m % 2 == 0:
+        return 0
+    return 1 if m == j else max(j - m, 0)
+
+
 def psi(t, m):
     """The specialization functional Psi_m."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m % 2 == 1:
-        k = (m + 1) // 2
-        return (t.b_m(2 * k - 1)
-                + 2 * sum((k - l) * t.b_m(2 * l - 1) for l in range(1, k)))
-    k = m // 2
-    mu = t.max_block() or 0
-    return (sum(l * t.b_m(2 * l) for l in range(1, k))
-            + k * (sum(t.b_m(2 * l - 1) for l in range(1, mu + 1))
-                   + sum(t.b_m(2 * l) for l in range(k, mu + 1))))
+    return sum(bm * _block_psi(j, m) for j, bm in t.b.items())
 
 
 def theta(t, m):
     """Theta_m = b_1 + b_3 + ... + b_{2m-1}."""
-    return sum(t.b_m(2 * k - 1) for k in range(1, m + 1))
+    return sum(bm for j, bm in t.b.items() if j % 2 == 1 and j < 2 * m)
 
 
-def _theta_inf(t):
-    return sum(bm for m, bm in t.b.items() if m % 2 == 1)
+@functools.cache
+def _block_profile(m, n):
+    """(Psi_1, ..., Psi_{2n+2}) of a single N_m block."""
+    return tuple(_block_psi(m, j) for j in range(1, 2 * n + 3))
 
 
-_PROFILES = {}
-
-
+@functools.cache
 def _profile(t):
-    """The numerical profile of t, computed once per type: the tuple
-    (Psi_1, ..., Psi_{2n+2}, Theta_inf) that necessary() compares and the
-    tuple (Theta_1, ..., Theta_{n+1}) that sufficient() adds to it."""
-    got = _PROFILES.get(t)
-    if got is None:
-        n = t.n
-        got = (tuple(psi(t, m) for m in range(1, 2 * n + 3))
-               + (_theta_inf(t),),
-               tuple(theta(t, m) for m in range(1, n + 2)))
-        _PROFILES[t] = got
-    return got
+    """The tuple (Psi_1, ..., Psi_{2n+2}) that necessary() compares: the
+    sum of the profiles of t's blocks."""
+    rows = [_block_profile(m, t.n) if bm == 1
+            else [bm * x for x in _block_profile(m, t.n)]
+            for m, bm in t.b.items()]
+    return tuple(map(sum, zip(*rows))) if rows else (0,) * (2 * t.n + 2)
 
 
 def necessary(tA, tB):
     """Necessary condition for a specialization tA ~> tB: Psi_m(tA) <=
-    Psi_m(tB) for all m.  All b_m vanish beyond n, so both parities of
-    Psi_m are eventually affine in m with slope governed by Theta_inf;
-    checking m <= 2n+2 together with the slopes is exact."""
+    Psi_m(tB) for all m.  No block is longer than n, so for m > n
+    Psi_{2k-1} = (2k-1) Theta_inf - S and Psi_{2k} = k Theta_inf + E/2,
+    where S and E, the dimensions of the odd and even blocks, are at most
+    n.  So Psi_{2n+1}(tA) <= Psi_{2n+1}(tB) forces Theta_inf(tA) <=
+    Theta_inf(tB), Psi_m(tA) - Psi_m(tB) does not rise past 2n+2 in
+    either parity, and checking m <= 2n+2 is exact."""
     if tA.n != tB.n:
         raise ValueError("types must have the same dimension")
-    return all(map(le, _profile(tA)[0], _profile(tB)[0]))
+    return all(map(le, _profile(tA), _profile(tB)))
 
 
 def sufficient(tA, tB):
     """Sufficient condition: the Psi inequalities of necessary() together
     with Theta_m(tA) <= Theta_m(tB) for all m."""
-    if not necessary(tA, tB):
-        return False
-    return all(map(le, _profile(tA)[1], _profile(tB)[1]))
+    return necessary(tA, tB) and all(theta(tA, m) <= theta(tB, m)
+                                     for m in range(1, tA.n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +301,15 @@ def _split_prime_power(q):
     raise ValueError(f"q = {q} is not a prime power")
 
 
-_F6_VERIFIED = set()
-
-
+@functools.cache
 def _verify_f6_core(s, q=2):
     """Composite-family instances reduce to the move 1 + N_{2s} ~>
     N_{2s+1}; each core is backed by a degeneration witness, checked once
-    per (s, q).  A witness that fails raises VerificationError."""
-    key = (s, q)
-    if key not in _F6_VERIFIED:
-        _check(witness(6, s, q=q).verified,
-               f"composite move 1+N_{2 * s} ~> N_{2 * s + 1} failed its "
-               f"witness over q = {q}")
-        _F6_VERIFIED.add(key)
+    per (s, q).  A witness that fails raises VerificationError each time,
+    as the cache keeps no exceptions."""
+    _check(witness(6, s, q=q).verified,
+           f"composite move 1+N_{2 * s} ~> N_{2 * s + 1} failed its "
+           f"witness over q = {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +415,10 @@ class SpecEdge:
 
 
 class ModuliPoset:
-    def __init__(self, n, nodes, edges, proven):
+    def __init__(self, n, nodes, edges):
         self.n = n
         self.nodes = nodes
         self.edges = edges         # Hasse edges, each certified by a path
-        self.proven = proven       # full relation as a set of pairs
 
     def to_dot(self):
         lines = ["digraph qbics {", "  rankdir=LR;"]
@@ -446,23 +447,31 @@ class ModuliPoset:
 
 def generator_path(tA, tB):
     """Shortest sequence of basic moves from tA to tB, or None.  The
-    search prunes states that cannot numerically specialize to tB."""
+    search prunes states that cannot numerically specialize to tB, and
+    is refused with CostGuardError once it has generated more than
+    _PATH_BUDGET moves."""
     if tA == tB:
         return []
-    seen = {tA.key(): None}
+    seen = {tA: None}
     queue = deque([tA])
+    moves = 0
     while queue:
         cur = queue.popleft()
-        for (new, family, s, tp) in generator_step(cur):
-            keyn = new.key()
-            if keyn in seen or not necessary(new, tB):
+        steps = generator_step(cur)
+        moves += len(steps)
+        if moves > _PATH_BUDGET:
+            raise CostGuardError(
+                f"move search {tA} ~> {tB} passed its budget of "
+                f"{_PATH_BUDGET} generated moves")
+        for (new, family, s, tp) in steps:
+            if new in seen or not necessary(new, tB):
                 continue
-            seen[keyn] = (cur, (family, s, tp, new))
+            seen[new] = (cur, (family, s, tp, new))
             if new == tB:
                 path = []
                 node = new
-                while seen[node.key()] is not None:
-                    prev, step = seen[node.key()]
+                while seen[node] is not None:
+                    prev, step = seen[node]
                     path.append(step)
                     node = prev
                 path.reverse()
@@ -486,7 +495,7 @@ def _bits(x):
 def _dominance(types):
     """Bitsets over positions in types: bit j of nec[i] is set when
     necessary holds for types[i] ~> types[j]."""
-    psis = [_profile(t)[0] for t in types]
+    psis = [_profile(t) for t in types]
     return [sum(1 << j for j, psi_j in enumerate(psis)
                 if all(map(le, psi_i, psi_j)))
             for psi_i in psis]
@@ -521,9 +530,6 @@ def build_poset(n, restrict=None):
     _check(len(set(nec)) == len(chosen), "specialization order has a 2-cycle")
 
     nodes = [StratumNode(t) for t in chosen]
-    names = [str(t) for t in chosen]
-    proven = {(names[i], names[j])
-              for i in range(len(chosen)) for j in _bits(nec[i]) if i != j}
 
     edges = []
     for i, src in enumerate(nodes):
@@ -544,7 +550,7 @@ def build_poset(n, restrict=None):
                     f"cover {src.t} -> {dst.t} has no path of basic moves")
             evidence = "SG" if sufficient(src.t, dst.t) else "G"
             edges.append(SpecEdge(src, dst, evidence, path))
-    return ModuliPoset(n, nodes, edges, proven)
+    return ModuliPoset(n, nodes, edges)
 
 
 def specialize_query(tA, tB):
@@ -558,13 +564,9 @@ def specialize_query(tA, tB):
     if tA == tB:
         return ("yes", {"kind": "equal"})
     if not necessary(tA, tB):
-        psi_a, psi_b = _profile(tA)[0][:-1], _profile(tB)[0][:-1]
-        m = next((m for m, (x, y) in enumerate(zip(psi_a, psi_b), 1)
-                  if x > y), len(psi_a) + 1)
-        # past 2n+2 only Theta_inf differs, and Psi_m follows its slope
-        while psi(tA, m) <= psi(tB, m):
-            m += 1
-        return ("no", m)
+        return ("no", next(m for m, (x, y) in
+                           enumerate(zip(_profile(tA), _profile(tB)), 1)
+                           if x > y))
     if sufficient(tA, tB):
         return ("yes", {"kind": "sufficient"})
     path = generator_path(tA, tB)

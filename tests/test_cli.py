@@ -312,7 +312,7 @@ class TestModuliCommand:
         class Failed:
             verified = False
 
-        monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+        moduli._verify_f6_core.cache_clear()
         monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
         code, out, err = run(capsys, "moduli", "--dim", "3")
         assert code == 4 and out == "" and "composite move" in err
@@ -376,6 +376,11 @@ class TestSpecializeCommand:
         code, _, _ = run(capsys, "specialize", "--from", "1", "--to", "1^2")
         assert code == 2
 
+    def test_path_budget(self, capsys):
+        code, out, err = run(capsys, "specialize", "--from", "1+N3^2+N8+N100",
+                             "--to", "0+N7^2+N100")
+        assert code == 3 and out == "" and "budget of 2000" in err
+
 
 class TestWitnessCommand:
     def test_witness(self, capsys):
@@ -388,8 +393,11 @@ class TestWitnessCommand:
         assert data["special_type"] == "0+N5"
 
     def test_bad_family(self, capsys):
-        code, _, _ = run(capsys, "witness", "--family", "9", "--s", "1")
-        assert code == 2
+        for family in ("0", "7", "9"):
+            code, out, err = run(capsys, "witness", "--family", family,
+                                 "--s", "1")
+            assert code == 2 and out == ""
+            assert f"unknown family {family}" in err
 
     @pytest.mark.parametrize("args,n", [
         (("--family", "2", "--s", "20"), 40),

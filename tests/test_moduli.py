@@ -17,22 +17,57 @@ from qbic.moduli import (ModuliPoset, SpecEdge, StratumNode, build_poset,
 P = parse_type
 
 # ---------------------------------------------------------------------------
-# reference: the per-pair functionals, and the list Floyd-Warshall closure
-# of the sufficient predicate and the basic moves that the path-certified
-# Psi relation replaced
+# reference: the functionals as the paper writes them, the per-pair
+# predicates on them, and the list Floyd-Warshall closure of the sufficient
+# predicate and the basic moves that the path-certified Psi relation
+# replaced
+
+
+def reference_psi(t, m):
+    if m % 2 == 1:
+        k = (m + 1) // 2
+        return (t.b_m(2 * k - 1)
+                + 2 * sum((k - l) * t.b_m(2 * l - 1) for l in range(1, k)))
+    k = m // 2
+    mu = t.max_block() or 0
+    return (sum(l * t.b_m(2 * l) for l in range(1, k))
+            + k * (sum(t.b_m(2 * l - 1) for l in range(1, mu + 1))
+                   + sum(t.b_m(2 * l) for l in range(k, mu + 1))))
+
+
+def reference_theta(t, m):
+    return sum(t.b_m(2 * k - 1) for k in range(1, m + 1))
+
+
+def reference_theta_inf(t):
+    return sum(bm for m, bm in t.b.items() if m % 2 == 1)
+
+
+def reference_phi(t, m):
+    if m % 2 == 1:
+        k = (m + 1) // 2
+        return (t.n + t.b_m(2 * k - 1)
+                + 2 * sum((k - l) * t.b_m(2 * l - 1) for l in range(1, k)))
+    k = m // 2
+    mu = t.max_block() or 0
+    return (sum(2 * l * t.b_m(2 * l) for l in range(1, k))
+            + 2 * k * (sum(t.b_m(2 * l - 1) for l in range(1, mu + 1))
+                       + sum(t.b_m(2 * l) for l in range(k, mu + 1))))
 
 
 def reference_necessary(tA, tB):
     n = tA.n
-    if any(psi(tA, m) > psi(tB, m) for m in range(1, 2 * n + 3)):
+    if any(reference_psi(tA, m) > reference_psi(tB, m)
+           for m in range(1, 2 * n + 3)):
         return False
-    return moduli._theta_inf(tA) <= moduli._theta_inf(tB)
+    return reference_theta_inf(tA) <= reference_theta_inf(tB)
 
 
 def reference_sufficient(tA, tB):
     if not reference_necessary(tA, tB):
         return False
-    return all(theta(tA, m) <= theta(tB, m) for m in range(1, tA.n + 2))
+    return all(reference_theta(tA, m) <= reference_theta(tB, m)
+               for m in range(1, tA.n + 2))
 
 
 def reference_specialize_query(tA, tB):
@@ -40,7 +75,7 @@ def reference_specialize_query(tA, tB):
         return ("yes", {"kind": "equal"})
     if not reference_necessary(tA, tB):
         m = 1
-        while psi(tA, m) <= psi(tB, m):
+        while reference_psi(tA, m) <= reference_psi(tB, m):
             m += 1
         return ("no", m)
     if reference_sufficient(tA, tB):
@@ -54,8 +89,8 @@ def reference_specialize_query(tA, tB):
 
 
 def reference_build_poset(n, restrict=None):
-    """The closure poset and its unknown-candidate pairs (necessary but
-    not in the closure)."""
+    """The closure poset, the closure's pairs, and its unknown-candidate
+    pairs (necessary but not in the closure)."""
     universe = enumerate_types(n)
     index = {t.key(): i for i, t in enumerate(universe)}
     m = len(universe)
@@ -100,7 +135,7 @@ def reference_build_poset(n, restrict=None):
                 edges.append(SpecEdge(src, dst, evidence, path))
             elif reference_necessary(src.t, dst.t):
                 unknown.append((src.t, dst.t))
-    return ModuliPoset(n, nodes, edges, proven), unknown
+    return ModuliPoset(n, nodes, edges), proven, unknown
 
 
 
@@ -148,6 +183,16 @@ class TestFunctionals:
         assert all(psi(t, m) == 0 for m in range(1, 10))
         assert theta(t, 4) == 0
 
+    def test_block_sums_match_reference(self):
+        # past 2n+2 too, where only the reference "no" loop reads Psi
+        from qbic.auts import phi
+        for n in range(1, 15):
+            for t in enumerate_types(n):
+                for m in range(1, 2 * n + 7):
+                    assert psi(t, m) == reference_psi(t, m), (t, m)
+                    assert theta(t, m) == reference_theta(t, m), (t, m)
+                    assert phi(t, m) == reference_phi(t, m), (t, m)
+
     def test_phi_psi_identities(self):
         from qbic.auts import phi
         for n in range(1, 7):
@@ -178,6 +223,16 @@ class TestPredicates:
                 for s in enumerate_types(n):
                     if sufficient(t, s):
                         assert necessary(t, s)
+
+    def test_psi_to_2n_plus_2_implies_theta_inf(self):
+        # why necessary() compares no Theta_inf: Psi_{2n+1} implies it
+        for n in range(1, 13):
+            ts = enumerate_types(n)
+            for tA in ts:
+                for tB in ts:
+                    if necessary(tA, tB):
+                        assert (reference_theta_inf(tA)
+                                <= reference_theta_inf(tB)), (tA, tB)
 
     def test_predicates_transitive(self):
         ts = enumerate_types(5)
@@ -268,9 +323,10 @@ class TestPoset:
 
     def test_antisymmetry_and_dim_decrease(self):
         poset = build_poset(6)
-        pairs = poset.proven
-        for (a, b) in pairs:
-            assert (b, a) not in pairs
+        ts = [node.t for node in poset.nodes]
+        for a in ts:
+            for b in ts:
+                assert a == b or not (necessary(a, b) and necessary(b, a))
         for e in poset.edges:
             assert e.src.stratum_dim > e.dst.stratum_dim
             assert e.evidence in ("G", "SG") and e.path
@@ -315,6 +371,27 @@ class TestSpecializeQuery:
         assert tA.n == tB.n == 15
         assert specialize_query(tA, tB) == ("unknown", None)
 
+    def test_path_budget(self):
+        # the open pair plus a common N100 runs past 20 s unbounded
+        for cached in (moduli._block_profile, moduli._profile):
+            cached.cache_clear()
+        start = time.process_time()
+        with pytest.raises(CostGuardError, match="budget of 2000"):
+            specialize_query(P("1+N3^2+N8+N100"), P("0+N7^2+N100"))
+        assert time.process_time() - start < 1.0
+        # the pair with n <= 13 whose path search generates the most moves
+        # (100), with a common N100
+        verdict, ev = specialize_query(P("1^4+N3^3+N100"),
+                                       P("0^2+N2+N4+N5+N100"))
+        assert verdict == "yes" and ev["kind"] == "generator-path"
+
+    def test_largest_types_are_cheap(self):
+        for cached in (moduli._block_profile, moduli._profile):
+            cached.cache_clear()
+        start = time.process_time()
+        assert specialize_query(P("N512"), P("1+N511"))[0] == "yes"
+        assert time.process_time() - start < 0.1
+
 
 def test_generator_step_checks_the_necessary_predicate(monkeypatch):
     monkeypatch.setattr(moduli, "necessary", lambda s, t: False)
@@ -324,20 +401,29 @@ def test_generator_step_checks_the_necessary_predicate(monkeypatch):
 
 def test_move_closure_is_the_psi_relation():
     # the theorem build_poset rests on: closing the basic moves gives
-    # exactly the necessary (Psi) relation
-    for n in range(1, 12):
-        ts = enumerate_types(n)
+    # exactly the necessary (Psi) relation, for n <= 14.  Moves raise
+    # group_dim, so one pass in decreasing group_dim order closes them.
+    # At n = 15 five Psi pairs are reached by no move; the first is a Psi
+    # cover, and the other four reach it by F3 moves.
+    for n in range(1, 16):
+        ts = sorted(enumerate_types(n), key=group_dim, reverse=True)
         index = {t: i for i, t in enumerate(ts)}
-        reach = [1 << i for i in range(len(ts))]
+        reach = []
         for i, t in enumerate(ts):
+            bits = 1 << i
             for (new, _, _, _) in generator_step(t):
-                reach[i] |= 1 << index[new]
-        for k in range(len(ts)):
-            for i in range(len(ts)):
-                if reach[i] >> k & 1:
-                    reach[i] |= reach[k]
-        assert reach == [sum(1 << j for j, u in enumerate(ts)
-                             if necessary(t, u)) for t in ts], n
+                bits |= reach[index[new]]
+            reach.append(bits)
+        nec = moduli._dominance(ts)
+        assert all(r & ~c == 0 for r, c in zip(reach, nec)), n
+        missed = {(str(ts[i]), str(ts[j])) for i, c in enumerate(nec)
+                  for j in moduli._bits(c & ~reach[i])}
+        if n < 15:
+            assert missed == set(), n
+        else:
+            assert missed == {(src, "0+N7^2") for src in (
+                "1+N3^2+N8", "1^3+N3^2+N6", "1^5+N3^2+N4", "1^7+N2+N3^2",
+                "1^9+N3^2")}
 
 
 def test_cover_without_a_path_raises(monkeypatch, capsys):
@@ -360,10 +446,12 @@ def test_failed_f6_witness_raises(monkeypatch):
     class Failed:
         verified = False
 
-    monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+    moduli._verify_f6_core.cache_clear()
     monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
-    with pytest.raises(VerificationError, match="composite move"):
-        generator_path(P("1^3"), P("N3"))
+    for _ in range(2):
+        # a failed check is not cached: it raises each time
+        with pytest.raises(VerificationError, match="composite move"):
+            generator_path(P("1^3"), P("N3"))
     assert generator_path(P("N3"), P("0+1^2")) == [(1, 1, None, P("0+1^2"))]
 
 
@@ -383,11 +471,13 @@ class TestAgainstReference:
     def test_build_poset(self, n, restrict):
         types = None if restrict is None else [P(s) for s in restrict]
         got = build_poset(n, restrict=types)
-        ref, unknown = reference_build_poset(n, restrict=types)
+        ref, proven, unknown = reference_build_poset(n, restrict=types)
         assert unknown == []
         assert got.to_json() == ref.to_json()
         assert got.to_dot() == ref.to_dot()
-        assert got.proven == ref.proven
+        ts = [node.t for node in got.nodes]
+        assert proven == {(str(a), str(b)) for a in ts for b in ts
+                          if a != b and necessary(a, b)}
         assert [(e.src.t, e.dst.t, e.evidence, e.path) for e in got.edges] \
             == [(e.src.t, e.dst.t, e.evidence, e.path) for e in ref.edges]
 
@@ -399,8 +489,9 @@ class TestPosetCost:
 
     @pytest.mark.parametrize("n,seconds", [(8, 0.3), (12, 3.0)])
     def test_build_time(self, monkeypatch, n, seconds):
-        monkeypatch.setattr(moduli, "_PROFILES", {})
-        monkeypatch.setattr(moduli, "_F6_VERIFIED", set())
+        for cached in (moduli._block_profile, moduli._profile,
+                       moduli._verify_f6_core):
+            cached.cache_clear()
         monkeypatch.setattr(moduli, "_POSET_CAP", n)
         start = time.process_time()
         poset = build_poset(n)
