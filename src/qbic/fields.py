@@ -4,14 +4,12 @@ The distinguished power q = p^e drives everything semilinear downstream:
 frobenius(x, i) = x^(q^i) and its partial inverse qth_root.  Finite
 descriptors require 2e | k so that the quadratic extension F_{q^2} embeds.
 
-Elements are kept in a unique canonical form (degree-reduced polynomial in
-the generator z; fractions in lowest terms with monic denominator), so
-equality is plain representation equality.  Fractions stay reduced
-without a gcd of every result: a product cancels each numerator against
-the other denominator first, a sum divides by g = gcd(d1, d2) and then
-reduces only by a gcd with g, an inverse swaps and rescales, and a power
-raises numerator and denominator apart.  No gcd is taken against a
-constant, so sums and products of polynomials take none.
+Every descriptor computes on raw scalars in a unique canonical form, so
+equality is plain representation equality.  A finite field's scalar is the
+base-p int encoding of a polynomial in the generator z; GF(p^k)(t)'s is ()
+for zero, else a fraction in lowest terms with monic denominator, which
+stays reduced without a gcd of every result (_RationalField).
+FieldElement pairs a descriptor with one scalar.
 
 Fields of order up to TABLE_CAP are _ZechField: log, antilog and Zech
 tables over a primitive element g, built by a walk of order-1 steps of a
@@ -234,12 +232,17 @@ class FieldDescriptor:
 
     Immutable.  Built only through field_make, which hands out one
     descriptor per (p, e, k, modulus, kind), so equality is identity.
-    Finite fields above TABLE_CAP use the polynomial arithmetic here;
-    smaller ones are _ZechField.
+
+    Every descriptor does its arithmetic on raw scalars through the same
+    methods -- _fadd, _fneg, _fmul, _finv, _fpow, _frob (a -> a^n for
+    n = q^i, which the caller computes once), _root (the q-th root, None
+    when there is none), _str -- and zero is the only false scalar.
+    Finite fields above TABLE_CAP use the polynomial arithmetic here,
+    smaller ones are _ZechField, and GF(p^k)(t) is _RationalField.
     """
 
-    __slots__ = ("p", "e", "k", "modulus", "kind", "q", "order", "_base",
-                 "_spec", "_ring", "__weakref__")
+    __slots__ = ("p", "e", "k", "modulus", "kind", "q", "order",
+                 "finite_part", "_root_exp", "_spec", "_ring", "__weakref__")
 
     def __init__(self, p, e, k, modulus, kind):
         self.p = p
@@ -249,7 +252,10 @@ class FieldDescriptor:
         self.kind = kind
         self.q = p ** e
         self.order = p ** k
-        self._base = None
+        # the underlying finite field GF(p^k)
+        self.finite_part = self
+        # x -> x^q is onto GF(p^k), with inverse x -> x^(p^(k-e))
+        self._root_exp = p ** (k - e)
         tail = "(t)" if kind == "rational-function" else ""
         mod = ",".join(str(c) for c in self.modulus)
         self._spec = f"{p}^{k}{tail} q={self.q} mod=[{mod}]"
@@ -279,17 +285,7 @@ class FieldDescriptor:
     def spec_string(self):
         return self._spec
 
-    @property
-    def finite_part(self):
-        """The underlying finite field GF(p^k) descriptor."""
-        if self.kind == "finite":
-            return self
-        if self._base is None:
-            self._base = field_make(self.p, self.e, self.k, self.modulus,
-                                    "finite")
-        return self._base
-
-    # -- scalar arithmetic on int encodings (finite part) --------------------
+    # -- scalar arithmetic ---------------------------------------------------
 
     def _fadd(self, a, b):
         if self.p == 2:
@@ -318,64 +314,61 @@ class FieldDescriptor:
         R = self._ring
         return R.unpack(R.pow(R.pack(a), n % (self.order - 1)))
 
+    def _frob(self, a, n):
+        return self._fpow(a, n)
+
+    def _root(self, a):
+        return self._fpow(a, self._root_exp)
+
     def _str(self, a):
         return _fin_str(self, a)
+
+    def _const(self, v):
+        """The scalar of the constant with finite-part encoding v."""
+        return v
+
+    def _degree(self, a):
+        """The larger degree in t of a's numerator and denominator: 0 on a
+        finite field, where powers reduce and products keep their size."""
+        return 0
+
+    def _at_zero(self, a):
+        """The finite-part scalar of a at t = 0."""
+        return a
 
     # -- element constructors ------------------------------------------------
 
     def _make(self, val):
         return FieldElement(self, val)
 
-    def _wrap_fin(self, v):
-        if self.kind == "finite":
-            return self._make(v)
-        return self._make(((v,) if v else (), (1,)))
-
     def zero(self):
-        return self._wrap_fin(0)
+        return self._make(self._const(0))
 
     def one(self):
-        return self._wrap_fin(1)
+        return self._make(self._const(1))
 
     def from_int(self, n):
-        return self._wrap_fin(n % self.p)
+        return self._make(self._const(n % self.p))
 
     def gen(self):
         """The generator z of GF(p^k) over GF(p)."""
         if self.k == 1:
             raise ValueError("prime field has no generator z")
-        return self._wrap_fin(self.p)
+        return self._make(self._const(self.p))
 
     def t_gen(self):
-        if self.kind != "rational-function":
-            raise ValueError("t exists only in a rational function field")
-        return self._make(((0, 1), (1,)))
+        raise ValueError("t exists only in a rational function field")
 
     def elements(self):
         """All elements, finite fields only."""
-        if self.kind != "finite":
-            raise ValueError("cannot enumerate a rational function field")
         for v in range(self.order):
             yield self._make(v)
 
-    def random_element(self, rng, degree=1):
-        """Random element; for rational function fields a random fraction
-        with numerator and denominator degrees at most `degree`."""
-        if self.kind == "finite":
-            return self._make(rng.randrange(self.order))
-        num = [rng.randrange(self.order) for _ in range(degree + 1)]
-        while True:
-            den = [rng.randrange(self.order) for _ in range(degree + 1)]
-            if any(den):
-                break
-        return (self._make((_poly_trim(num), (1,)))
-                / self._make((_poly_trim(den), (1,))))
+    def random_element(self, rng):
+        return self._make(rng.randrange(self.order))
 
     def parse(self, text):
         return _parse_element(self, text)
-
-    # polynomial-over-finite-part helpers used by the fraction representation
-    # live at module level (_poly_* / _rf_*)
 
 
 class _ZechField(FieldDescriptor):
@@ -532,8 +525,11 @@ def field_make(p, e, k, modulus=None, kind="finite"):
         raise ValueError("modulus must have degree k")
     if not chosen and not _PolyRing(p, modulus).irreducible():
         raise ValueError("modulus is reducible")
-    tabled = kind == "finite" and p ** k <= TABLE_CAP
-    F = (_ZechField if tabled else FieldDescriptor)(p, e, k, modulus, kind)
+    if kind == "rational-function":
+        cls = _RationalField
+    else:
+        cls = _ZechField if p ** k <= TABLE_CAP else FieldDescriptor
+    F = cls(p, e, k, modulus, kind)
     # two threads building the same field both get the one stored first
     return _FIELDS.setdefault(key, F)
 
@@ -604,12 +600,6 @@ def _poly_gcd(F, a, b):
     return a
 
 
-# The fraction ops below take reduced operands (numerator and denominator
-# coprime, denominator monic) and return a reduced result, taking gcds only
-# of the parts that can share a factor (P. Henrici, J. ACM 3, 1956; Knuth,
-# TAOCP vol. 2, 4.5.1).  A gcd against a constant is never taken.
-
-
 def _poly_cancel(F, a, b):
     """(g, a/g, b/g) for the monic g = gcd(a, b) of nonzero a and b."""
     if len(a) == 1 or len(b) == 1:
@@ -618,34 +608,6 @@ def _poly_cancel(F, a, b):
     if len(g) == 1:
         return g, a, b
     return g, _poly_divmod(F, a, g)[0], _poly_divmod(F, b, g)[0]
-
-
-def _rf_mul(F, x, y):
-    """x*y: n1 cancelled against d2, n2 against d1, then multiplied."""
-    (n1, d1), (n2, d2) = x, y
-    if not n1 or not n2:
-        return ((), (1,))
-    _, n1, d2 = _poly_cancel(F, n1, d2)
-    _, n2, d1 = _poly_cancel(F, n2, d1)
-    return (_poly_mul(F, n1, n2), _poly_mul(F, d1, d2))
-
-
-def _rf_add(F, x, y):
-    """x + y = (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)) for g = gcd(d1, d2);
-    the numerator can share a factor with g only."""
-    (n1, d1), (n2, d2) = x, y
-    if not n1:
-        return y
-    if not n2:
-        return x
-    g, c1, c2 = _poly_cancel(F, d1, d2)
-    num = _poly_add(F, _poly_mul(F, n1, c2), _poly_mul(F, n2, c1))
-    if not num:
-        return ((), (1,))
-    # the denominator is d1*c2 = g*c1*c2, with g divided by h = gcd(num, g)
-    h, num, g_h = _poly_cancel(F, num, g)
-    den = d1 if len(h) == 1 else _poly_mul(F, g_h, c1)
-    return (num, _poly_mul(F, den, c2))
 
 
 def _poly_pow(F, a, n):
@@ -659,13 +621,159 @@ def _poly_pow(F, a, n):
     return r
 
 
-class FieldElement:
-    """An element of a FieldDescriptor, held in canonical form.
+class _RationalField(FieldDescriptor):
+    """GF(p^k)(t), over the finite field held in finite_part.
 
-    Finite fields store the polynomial in z as a base-p integer encoding;
-    rational function fields store a reduced (numerator, denominator) pair
-    of coefficient tuples.  Immutable and hashable.
+    A scalar is () for zero, and otherwise the pair (num, den) of
+    coefficient tuples over the finite part, in lowest terms with den
+    monic.  The ops take reduced operands and return a reduced result,
+    taking gcds only of the parts that can share a factor (P. Henrici,
+    J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1); a gcd against a constant
+    is never taken.
     """
+
+    __slots__ = ()
+
+    def __init__(self, p, e, k, modulus, kind):
+        super().__init__(p, e, k, modulus, kind)
+        self.finite_part = field_make(p, e, k, modulus, "finite")
+
+    def _fadd(self, x, y):
+        """x + y = (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)) for g = gcd(d1, d2);
+        the numerator can share a factor with g only."""
+        if not x:
+            return y
+        if not y:
+            return x
+        F = self.finite_part
+        (n1, d1), (n2, d2) = x, y
+        g, c1, c2 = _poly_cancel(F, d1, d2)
+        num = _poly_add(F, _poly_mul(F, n1, c2), _poly_mul(F, n2, c1))
+        if not num:
+            return ()
+        # the denominator is d1*c2 = g*c1*c2, with g divided by h = gcd(num, g)
+        h, num, g_h = _poly_cancel(F, num, g)
+        den = d1 if len(h) == 1 else _poly_mul(F, g_h, c1)
+        return (num, _poly_mul(F, den, c2))
+
+    def _fneg(self, x):
+        return (_poly_neg(self.finite_part, x[0]), x[1]) if x else x
+
+    def _fmul(self, x, y):
+        """x*y: n1 cancelled against d2, n2 against d1, then multiplied."""
+        if not x or not y:
+            return ()
+        F = self.finite_part
+        (n1, d1), (n2, d2) = x, y
+        _, n1, d2 = _poly_cancel(F, n1, d2)
+        _, n2, d1 = _poly_cancel(F, n2, d1)
+        return (_poly_mul(F, n1, n2), _poly_mul(F, d1, d2))
+
+    def _finv(self, x):
+        if not x:
+            raise ZeroDivisionError("inversion of zero field element")
+        n, d = x
+        if n[-1] != 1:
+            # coprime already: only the new denominator is made monic
+            F = self.finite_part
+            inv = F._finv(n[-1])
+            n = tuple(F._fmul(c, inv) for c in n)
+            d = tuple(F._fmul(c, inv) for c in d)
+        return (d, n)
+
+    def _fpow(self, x, n):
+        if not x:
+            return x if n else self._const(1)
+        # powers of coprime polynomials stay coprime
+        F = self.finite_part
+        return (_poly_pow(F, x[0], n), _poly_pow(F, x[1], n))
+
+    def _frob(self, x, n):
+        """sum c_j t^j -> sum c_j^n t^(j n), on both polynomials."""
+        F = self.finite_part
+
+        def tw(poly):
+            out = [0] * ((len(poly) - 1) * n + 1)
+            for j, c in enumerate(poly):
+                if c:
+                    out[j * n] = F._frob(c, n)
+            return tuple(out)
+
+        return (tw(x[0]), tw(x[1])) if x else x
+
+    def _root(self, x):
+        """The root exists iff every exponent of t in the reduced fraction
+        is divisible by q."""
+        F, q = self.finite_part, self.q
+
+        def rt(poly):
+            out = [0] * ((len(poly) - 1) // q + 1)
+            for j, c in enumerate(poly):
+                if c:
+                    if j % q != 0:
+                        return None
+                    out[j // q] = F._root(c)
+            return tuple(out)
+
+        if not x:
+            return x
+        rn, rd = rt(x[0]), rt(x[1])
+        return None if rn is None or rd is None else (rn, rd)
+
+    def _str(self, x):
+        if not x:
+            return "0"
+        num, den = x
+        nterms = _tpoly_terms(self, num)
+        ns = "+".join(nterms)
+        if den == (1,):
+            return ns
+        if len(nterms) > 1 or ("+" in ns and not ns.startswith("(")):
+            ns = f"({ns})"
+        dterms = _tpoly_terms(self, den)
+        ds = "+".join(dterms)
+        if len(dterms) > 1 or "*" in ds:
+            ds = f"({ds})"
+        return f"{ns}/{ds}"
+
+    def _const(self, v):
+        return ((v,), (1,)) if v else ()
+
+    def _degree(self, x):
+        return max(len(x[0]), len(x[1])) - 1 if x else 0
+
+    def _at_zero(self, x):
+        if not x:
+            return 0
+        n0, d0 = x[0][0], x[1][0]
+        if d0 == 0:
+            raise ZeroDivisionError("denominator vanishes at t = 0")
+        F = self.finite_part
+        return F._fmul(n0, F._finv(d0))
+
+    def t_gen(self):
+        return self._make(((0, 1), (1,)))
+
+    def elements(self):
+        raise ValueError("cannot enumerate a rational function field")
+
+    def random_element(self, rng):
+        """A random fraction with numerator and denominator of degree at
+        most 1."""
+        def poly():
+            c = _poly_trim([rng.randrange(self.order) for _ in range(2)])
+            return self._make((c, (1,)) if c else ())
+
+        num = poly()
+        while True:
+            den = poly()
+            if den:
+                return num / den
+
+
+class FieldElement:
+    """An element of a FieldDescriptor: the field and its canonical scalar
+    (see FieldDescriptor).  Immutable and hashable."""
 
     __slots__ = ("field", "val")
 
@@ -685,9 +793,7 @@ class FieldElement:
         return NotImplemented
 
     def is_zero(self):
-        if self.field.kind == "finite":
-            return self.val == 0
-        return not self.val[0]
+        return not self.val
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -696,18 +802,13 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         F = self.field
-        if F.kind == "finite":
-            return F._make(F._fadd(self.val, other.val))
-        return F._make(_rf_add(F.finite_part, self.val, other.val))
+        return F._make(F._fadd(self.val, other.val))
 
     __radd__ = __add__
 
     def __neg__(self):
         F = self.field
-        if F.kind == "finite":
-            return F._make(F._fneg(self.val))
-        n, d = self.val
-        return F._make((_poly_neg(F.finite_part, n), d))
+        return F._make(F._fneg(self.val))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -723,26 +824,13 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         F = self.field
-        if F.kind == "finite":
-            return F._make(F._fmul(self.val, other.val))
-        return F._make(_rf_mul(F.finite_part, self.val, other.val))
+        return F._make(F._fmul(self.val, other.val))
 
     __rmul__ = __mul__
 
     def inverse(self):
         F = self.field
-        if F.kind == "finite":
-            return F._make(F._finv(self.val))
-        n, d = self.val
-        if not n:
-            raise ZeroDivisionError("inversion of zero field element")
-        if n[-1] != 1:
-            # coprime already: only the new denominator is made monic
-            FB = F.finite_part
-            inv = FB._finv(n[-1])
-            n = tuple(FB._fmul(c, inv) for c in n)
-            d = tuple(FB._fmul(c, inv) for c in d)
-        return F._make((d, n))
+        return F._make(F._finv(self.val))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -757,12 +845,7 @@ class FieldElement:
         if n < 0:
             return self.inverse() ** (-n)
         F = self.field
-        if F.kind == "finite":
-            return F._make(F._fpow(self.val, n))
-        # powers of coprime polynomials stay coprime
-        FB = F.finite_part
-        num, den = self.val
-        return F._make((_poly_pow(FB, num, n), _poly_pow(FB, den, n)))
+        return F._make(F._fpow(self.val, n))
 
     # -- identity ------------------------------------------------------------
 
@@ -777,9 +860,7 @@ class FieldElement:
         return f"<{self}>"
 
     def __str__(self):
-        if self.field.kind == "finite":
-            return self.field._str(self.val)
-        return _rf_str(self.field, self.val)
+        return self.field._str(self.val)
 
     def __bool__(self):
         return not self.is_zero()
@@ -791,23 +872,10 @@ class FieldElement:
 
 def frobenius(x, i):
     """x ** (q ** i), the i-fold q-power Frobenius."""
-    F = x.field
     if i == 0:
         return x
-    if F.kind == "finite":
-        return F._make(F._fpow(x.val, F.q ** i))
-    FB = F.finite_part
-    qi = F.q ** i
-
-    def tw(poly):
-        out = [0] * ((len(poly) - 1) * qi + 1) if poly else []
-        for j, c in enumerate(poly):
-            if c:
-                out[j * qi] = FB._fpow(c, qi)
-        return _poly_trim(out)
-
-    n, d = x.val
-    return F._make((tw(n), tw(d)))
+    F = x.field
+    return F._make(F._frob(x.val, F.q ** i))
 
 
 def qth_root(x):
@@ -818,29 +886,8 @@ def qth_root(x):
     every exponent of t appearing in the reduced fraction is divisible by q.
     """
     F = x.field
-    if F.kind == "finite":
-        return F._make(F._fpow(x.val, F.p ** (F.k - F.e)))
-    FB = F.finite_part
-    q = F.q
-    root_exp = FB.p ** (FB.k - FB.e)
-
-    def rt(poly):
-        out = [0] * ((len(poly) - 1) // q + 1) if poly else []
-        for j, c in enumerate(poly):
-            if c:
-                if j % q != 0:
-                    return None
-                out[j // q] = FB._fpow(c, root_exp)
-        return _poly_trim(out)
-
-    n, d = x.val
-    rn = rt(n)
-    if rn is None:
-        return None
-    rd = rt(d)
-    if rd is None:
-        return None
-    return F._make((rn, rd))
+    r = F._root(x.val)
+    return None if r is None else F._make(r)
 
 
 def evaluate_at_zero(x):
@@ -850,22 +897,14 @@ def evaluate_at_zero(x):
     vanishes at t = 0.
     """
     F = x.field
-    if F.kind == "finite":
-        return x
-    n, d = x.val
-    d0 = d[0] if d else 0
-    if d0 == 0:
-        raise ZeroDivisionError("denominator vanishes at t = 0")
-    FB = F.finite_part
-    n0 = n[0] if n else 0
-    return FB._make(FB._fmul(n0, FB._finv(d0)))
+    return F.finite_part._make(F._at_zero(x.val))
 
 
 def lift_constant(x, rational_field):
     """Embed a finite field element as a constant of GF(p^k)(t)."""
     if rational_field.finite_part != x.field:
         raise ValueError("field mismatch")
-    return rational_field._make(((x.val,) if x.val else (), (1,)))
+    return rational_field._make(rational_field._const(x.val))
 
 
 # ---------------------------------------------------------------------------
@@ -910,23 +949,6 @@ def _tpoly_terms(F, poly):
     return terms
 
 
-def _rf_str(F, val):
-    num, den = val
-    if not num:
-        return "0"
-    nterms = _tpoly_terms(F, num)
-    ns = "+".join(nterms)
-    if den == (1,):
-        return ns
-    if len(nterms) > 1 or ("+" in ns and not ns.startswith("(")):
-        ns = f"({ns})"
-    dterms = _tpoly_terms(F, den)
-    ds = "+".join(dterms)
-    if len(dterms) > 1 or "*" in ds:
-        ds = f"({ds})"
-    return f"{ns}/{ds}"
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -951,15 +973,6 @@ def _tokenize(text):
 # a GF(q)(t) literal may not reach a higher degree in t; a product or power
 # past it is refused before it is formed (dense products cost degree^2)
 _LITERAL_DEGREE_CAP = 1024
-
-
-def _t_degree(x):
-    """The larger degree in t of x's numerator and denominator; 0 on a
-    finite field, where powers reduce and products keep their size."""
-    if x.field.kind == "finite":
-        return 0
-    num, den = x.val
-    return max(len(num), len(den)) - 1
 
 
 def _check_literal_degree(d):
@@ -1008,7 +1021,8 @@ class _ElementParser:
             w = self.factor()
             if op == "/" and not w:
                 raise ValueError("division by zero in element literal")
-            _check_literal_degree(_t_degree(v) + _t_degree(w))
+            deg = self.field._degree
+            _check_literal_degree(deg(v.val) + deg(w.val))
             v = v * w if op == "*" else v / w
         return v
 
@@ -1020,7 +1034,7 @@ class _ElementParser:
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent after '^'")
             n = int(t)
-            _check_literal_degree(_t_degree(v) * n)
+            _check_literal_degree(self.field._degree(v.val) * n)
             v = v ** n
         return v
 
@@ -1031,8 +1045,7 @@ class _ElementParser:
         if t.isdigit():
             return self.field.from_int(int(t))
         if t == "z":
-            return self.field.gen() if self.field.k > 1 else \
-                self._fail("z used in a prime field")
+            return self.field.gen()
         if t == "t":
             return self.field.t_gen()
         if t == "(":
@@ -1046,9 +1059,6 @@ class _ElementParser:
             self.depth -= 1
             return v
         raise ValueError(f"unexpected token {t!r} in element literal")
-
-    def _fail(self, msg):
-        raise ValueError(msg)
 
 
 def _parse_element(field, text):

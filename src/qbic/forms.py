@@ -15,9 +15,10 @@ import sys
 
 from . import CostGuardError, _check
 from .fields import embed, extension_field
-from .linalg import (MatrixF, Subspace, descent_test, intersect, kernel,
-                     left_orthogonal, pairing, rank, right_orthogonal,
-                     subspace_sum, twist_matrix, twist_subspace)
+from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
+                     descent_test, intersect, kernel, left_orthogonal,
+                     pairing, rank, right_orthogonal, twist_matrix,
+                     twist_subspace)
 
 
 class QBicForm:
@@ -57,17 +58,15 @@ def direct_sum(f, g):
 class PerpFiltration:
     """The chain P_{-1} = 0, P_0 = V, P_i = right orthogonal of the twist
     of P_{i-1}.  Odd pieces increase to p_minus, even pieces decrease to
-    p_plus; `length` is the first index at which both chains have
-    stabilized."""
+    p_plus."""
 
-    __slots__ = ("n", "_pieces", "p_minus", "p_plus", "length")
+    __slots__ = ("n", "_pieces", "p_minus", "p_plus")
 
-    def __init__(self, n, pieces, p_minus, p_plus, length):
+    def __init__(self, n, pieces, p_minus, p_plus):
         self.n = n
         self._pieces = pieces  # index i+1 holds P_i, starting at P_{-1}
         self.p_minus = p_minus
         self.p_plus = p_plus
-        self.length = length
 
     def piece(self, i):
         """P_i V for any i >= -1; stabilized values beyond the computed
@@ -84,7 +83,6 @@ def perp_filtration(f):
     zero = Subspace.zero(f.field, n)
     full = Subspace.full(f.field, n)
     pieces = [zero, full]
-    length = None
     step = 1
     while True:
         prev = pieces[-1]
@@ -92,13 +90,12 @@ def perp_filtration(f):
         pieces.append(nxt)
         if len(pieces) >= 5 and pieces[-1] == pieces[-3] \
                 and pieces[-2] == pieces[-4]:
-            length = step - 2
             break
         step += 1
         _check(step <= n + 3, "perp filtration failed to stabilize")
     p_plus = pieces[-1] if (len(pieces) - 2) % 2 == 0 else pieces[-2]
     p_minus = pieces[-1] if (len(pieces) - 2) % 2 == 1 else pieces[-2]
-    return PerpFiltration(n, pieces, p_minus, p_plus, length)
+    return PerpFiltration(n, pieces, p_minus, p_plus)
 
 
 class PerpPrimeFiltration:
@@ -107,13 +104,12 @@ class PerpPrimeFiltration:
     the coordinates of V^[i] together with the minimal twist level it
     descends to."""
 
-    __slots__ = ("n", "pieces_on_twist", "descent_levels", "length")
+    __slots__ = ("n", "pieces_on_twist", "descent_levels")
 
-    def __init__(self, n, pieces_on_twist, descent_levels, length):
+    def __init__(self, n, pieces_on_twist, descent_levels):
         self.n = n
         self.pieces_on_twist = pieces_on_twist
         self.descent_levels = descent_levels
-        self.length = length
 
     def piece_on_twist(self, i):
         """P'_i V^[i] in V^[i] coordinates, for any i >= 0."""
@@ -147,7 +143,6 @@ def perp_prime_filtration(f):
     full = Subspace.full(f.field, n)
     pieces = [full]
     levels = [0]
-    length = None
     step = 1
     while True:
         prev = pieces[-1]
@@ -166,11 +161,10 @@ def perp_prime_filtration(f):
             a = twist_subspace(pieces[-3], 2)
             b = twist_subspace(pieces[-4], 2)
             if pieces[-1] == a and pieces[-2] == b:
-                length = step - 2
                 break
         step += 1
         _check(step <= n + 3, "perp-prime filtration failed to stabilize")
-    return PerpPrimeFiltration(n, pieces, levels, length)
+    return PerpPrimeFiltration(n, pieces, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +193,6 @@ class TypeSignature:
     @property
     def rank(self):
         return self.n - self.corank
-
-    def is_nonsingular(self):
-        return not self.b
 
     def max_block(self):
         """mu = max{m : b_m != 0}; None when nonsingular."""
@@ -331,12 +322,10 @@ def total_orthogonal(f, S):
     return intersect(first, second)
 
 
-def nu_index(f, pfilt=None):
+def nu_index(f):
     """Minimal i such that the whole perp-prime filtration descends to
     V^[i]; zero over perfect (finite) fields."""
-    if pfilt is None:
-        pfilt = perp_prime_filtration(f)
-    return pfilt.nu()
+    return perp_prime_filtration(f).nu()
 
 
 def nu_zero_bound(t):
@@ -386,30 +375,6 @@ class HermitianSpace:
         self.point_count = (form.field.q ** 2) ** self.d
 
 
-class _GFpSpan:
-    """Incremental GF(p) row space for independence testing."""
-
-    def __init__(self, p, width):
-        self.p = p
-        self.width = width
-        self.rows = []  # echelonized, pivot positions increasing
-
-    def add(self, vec):
-        """Reduce vec against the span; add if independent.  Returns True
-        when the span grew."""
-        p = self.p
-        v = list(vec)
-        for row, piv in self.rows:
-            if v[piv]:
-                f = (v[piv] * pow(row[piv], p - 2, p)) % p
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return False
-        self.rows.append((v, piv))
-        return True
-
-
 def _flatten_ext_vector(K, vec):
     out = []
     for x in vec:
@@ -445,7 +410,6 @@ def hermitian_space(f, r):
             xq2 = [K._make(K._fpow(v.val, q2)) for v in x]
             img = [u - w for u, w in zip(B.apply(x), C.apply(xq2))]
             cols.append(_flatten_ext_vector(K, img))
-    from .linalg import _gfp_kernel
     ker = _gfp_kernel(cols, p, n * kK)
 
     # decode GF(p)-kernel vectors back into K^n
@@ -471,17 +435,14 @@ def hermitian_space(f, r):
         mults.append(w)
         w = w * gen_img
 
-    # greedy F_{q^2}-independent subset of the solution space
-    span = _GFpSpan(p, n * kK)
-    basis = []
-    for v in solutions:
-        flat = _flatten_ext_vector(K, v)
-        grew = False
-        for mu in mults:
-            if span.add(_flatten_ext_vector(K, [mu * x for x in v])):
-                grew = True
-        if grew:
-            basis.append(v)
+    # greedy F_{q^2}-independent subset of the solution space: a solution
+    # joins when one of its multiples is independent of the multiples
+    # before it, that is, is a pivot column of their GF(p) matrix
+    mcols = [_flatten_ext_vector(K, [mu * x for x in v])
+             for v in solutions for mu in mults]
+    pivots = _gfp_pivots(mcols, p, n * kK)
+    chosen = {c // len(mults) for c in pivots}
+    basis = [v for s, v in enumerate(solutions) if s in chosen]
     expected = len(ker) // fq2.k
     _check(len(ker) % fq2.k == 0 and len(basis) == expected,
            "Hermitian solution space is not F_{q^2}-linear")
@@ -508,10 +469,8 @@ def hermitian_gram(h):
 
 
 def type_report(f):
-    filt = perp_filtration(f)
-    t = type_of(f, filt)
-    pfilt = perp_prime_filtration(f)
-    nu = pfilt.nu()
+    t = type_of(f)
+    nu = perp_prime_filtration(f).nu()
     report = {
         "type": str(t),
         "n": f.n,

@@ -2,12 +2,13 @@
 extras: entrywise Frobenius twist, twisted congruence, subspace lattice
 operations, one-sided orthogonals, and Frobenius-descent testing.
 
-A MatrixF stores its entries once, as the scalars the elimination loop
-works on: the int encodings of a finite field's elements, or the
-FieldElements of GF(q)(t).  Every operation here runs on those scalars.
-FieldElements are made only at the boundary: the public constructor
-takes them, and `rows`, `columns()`, indexing, `apply`, `solve` and
-`pairing` hand them out.
+A MatrixF over any field stores its entries once, as the field's raw
+scalars (see fields.FieldDescriptor): the int encodings of a finite
+field's elements, or GF(q)(t)'s reduced (num, den) pairs with () for zero.
+Every operation here runs on those scalars through the descriptor's
+methods.  FieldElements are made only at the boundary: the public
+constructor takes them, and `rows`, `columns()`, indexing, `apply`,
+`solve` and `pairing` hand them out.
 
 Subspaces are held in reduced column echelon form (pivot rows strictly
 increasing, pivots 1, pivot rows zero elsewhere), so subspace equality is
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import namedtuple
 
-from .fields import FieldElement, frobenius, qth_root
+from .fields import FieldElement
 
 
 class MatrixF:
@@ -57,8 +57,7 @@ class MatrixF:
         rows = self._rows
         if rows is None:
             make = _ops(self.field).make
-            rows = self._rows = (tuple(tuple(map(make, r)) for r in self._e)
-                                 if make else self._e)
+            rows = self._rows = tuple(tuple(map(make, r)) for r in self._e)
         return rows
 
     # -- constructors --------------------------------------------------------
@@ -107,7 +106,7 @@ class MatrixF:
 
     def __getitem__(self, ij):
         i, j = ij
-        return _element(self.field, self._e[i][j])
+        return FieldElement(self.field, self._e[i][j])
 
     def transpose(self):
         return _mat(self.field, _transposed(self._e, self.ncols), self.nrows)
@@ -192,10 +191,10 @@ def _transposed(e, ncols):
 # ---------------------------------------------------------------------------
 # scalars
 #
-# A finite field's scalars are the int encodings of its elements, with the
-# field's table arithmetic; GF(q)(t)'s are its FieldElements; the GF(p)
-# systems of the field and Hermitian code run on plain ints mod p.  Zero
-# must be the only false scalar.
+# A field's scalars are its descriptor's raw values, with the descriptor's
+# arithmetic; the GF(p) systems of the field and Hermitian code run on
+# plain ints mod p.  Zero must be the only false scalar: the loops below
+# skip zero products and choose pivots by truth.
 
 _Ops = namedtuple("_Ops", "inv mul add neg zero one make")
 
@@ -203,12 +202,9 @@ _Ops = namedtuple("_Ops", "inv mul add neg zero one make")
 @functools.cache
 def _ops(F):
     """The scalar ops of field F, built once per descriptor.  `make`
-    wraps a scalar as a FieldElement, None where scalars are elements."""
-    if F.kind == "finite":
-        return _Ops(F._finv, F._fmul, F._fadd, F._fneg, 0, 1,
-                    functools.partial(FieldElement, F))
-    return _Ops(operator.methodcaller("inverse"), operator.mul, operator.add,
-                operator.neg, F.zero(), F.one(), None)
+    wraps a scalar as a FieldElement."""
+    return _Ops(F._finv, F._fmul, F._fadd, F._fneg, F.zero().val,
+                F.one().val, functools.partial(FieldElement, F))
 
 
 @functools.cache
@@ -219,10 +215,7 @@ def _gfp_ops(p):
 
 def _scalars(F, vec):
     """The scalars of a sequence of FieldElements of F, as a tuple."""
-    if F.kind == "finite":
-        out = tuple(x.val for x in vec if x.field is F)
-    else:
-        out = tuple(x for x in vec if x.field is F)
+    out = tuple(x.val for x in vec if x.field is F)
     if len(out) != len(vec):
         raise ValueError("field mismatch")
     return out
@@ -230,21 +223,7 @@ def _scalars(F, vec):
 
 def _elements(F, vals):
     """The FieldElements of a sequence of scalars of F, as a list."""
-    make = _ops(F).make
-    return list(map(make, vals)) if make else list(vals)
-
-
-def _element(F, v):
-    make = _ops(F).make
-    return make(v) if make else v
-
-
-def _frob(F, i):
-    """The scalar map x -> x^(q^i) of F."""
-    if F.kind == "finite":
-        fpow, n = F._fpow, F.q ** i
-        return lambda a: fpow(a, n)
-    return lambda a: frobenius(a, i)
+    return list(map(_ops(F).make, vals))
 
 
 def _dot_rows(row, cols, ops):
@@ -282,7 +261,9 @@ def _eliminate(rows, ncols, ops):
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = neg(rows[i][c])
-                rows[i] = [add(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                # a zero of the pivot row leaves the entry as it is
+                rows[i] = [add(a, mul(f, b)) if b else a
+                           for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -322,6 +303,13 @@ def _gfp_kernel(cols, p, nrows):
     """Kernel basis of the GF(p) matrix with the given columns."""
     rows = [[col[r] for col in cols] for r in range(nrows)]
     return _kernel_rows(rows, len(cols), _gfp_ops(p))
+
+
+def _gfp_pivots(cols, p, nrows):
+    """The pivot columns of the GF(p) matrix with the given columns: each
+    is independent of the columns before it."""
+    rows = [[col[r] for col in cols] for r in range(nrows)]
+    return _eliminate(rows, len(cols), _gfp_ops(p))
 
 
 def _gfp_solve(cols, target, p, nrows):
@@ -520,8 +508,10 @@ def twist_matrix(M, i):
     """Entrywise q^i-power Frobenius."""
     if i == 0:
         return M
-    tw = _frob(M.field, i)
-    return _mat(M.field, tuple(tuple(map(tw, r)) for r in M._e), M.ncols)
+    F = M.field
+    frob, n = F._frob, F.q ** i
+    return _mat(F, tuple(tuple([frob(a, n) for a in r]) for r in M._e),
+                M.ncols)
 
 
 def twist_subspace(S, i):
@@ -535,9 +525,9 @@ def pairing(B, u, v):
     """beta(u, v) = transpose(u^[1]) . B . v."""
     F = B.field
     ops = _ops(F)
-    u1 = tuple(map(_frob(F, 1), _scalars(F, u)))
+    u1 = tuple([F._frob(a, F.q) for a in _scalars(F, u)])
     Bv = _dot_rows(_scalars(F, v), B._e, ops)
-    return _element(F, _dot_rows(u1, (Bv,), ops)[0])
+    return FieldElement(F, _dot_rows(u1, (Bv,), ops)[0])
 
 
 def twisted_congruence(B, A):
@@ -579,19 +569,14 @@ def descent_test(S):
     descend.  Works entrywise on the echelon basis: the twist of a reduced
     echelon basis is again reduced echelon with the same pivots."""
     F = S.field
-    if F.kind == "finite":
-        # the Frobenius is onto: the root is x^(p^(k-e))
-        fpow, n = F._fpow, F.p ** (F.k - F.e)
-        rooted = tuple(tuple(fpow(a, n) for a in r) for r in S.basis._e)
-    else:
-        rooted = []
-        for r in S.basis._e:
-            row = tuple(map(qth_root, r))
-            if None in row:
-                return None
-            rooted.append(row)
-        rooted = tuple(rooted)
-    return Subspace(F, S.n, _mat(F, rooted, S.dim))
+    root = F._root
+    rooted = []
+    for r in S.basis._e:
+        row = tuple(map(root, r))
+        if None in row:
+            return None
+        rooted.append(row)
+    return Subspace(F, S.n, _mat(F, tuple(rooted), S.dim))
 
 
 # ---------------------------------------------------------------------------

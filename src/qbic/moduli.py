@@ -29,17 +29,6 @@ _POSET_CAP = 8
 # CPU; 2 shared CPUs, Python 3.11.7)
 _PATH_BUDGET = 2000
 
-# basic degeneration families: (family id, human-readable rewrite)
-FAMILY_RULES = {
-    1: "N_{2s+1} ~> 1^2 + N_{2s-1}",
-    2: "N_{2s} ~> 1 + N_{2s-1}",
-    3: "1^2 + N_{2s-2} ~> N_{2s}",
-    4: "N_{2s-2t} + N_{2s+2} ~> N_{2s-2t+2} + N_{2s}",
-    5: "N_{2s+1} + N_{2s+2t-1} ~> N_{2s-1} + N_{2s+2t+1}",
-    6: "1^{2t-2s-1} + N_{2s} ~> N_{2t-1}",
-}
-
-
 # ---------------------------------------------------------------------------
 # type enumeration and the numerical functionals
 

@@ -159,10 +159,10 @@ def rf_elements(draw):
     num = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     den = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)
                .filter(lambda c: any(c)))
-    npoly = sum(RF4._make(((c,) if c else (), (1,)))
-                * RF4.t_gen() ** i for i, c in enumerate(num))
-    dpoly = sum(RF4._make(((c,) if c else (), (1,)))
-                * RF4.t_gen() ** i for i, c in enumerate(den))
+    npoly = sum(lift_constant(GF4._make(c), RF4) * RF4.t_gen() ** i
+                for i, c in enumerate(num))
+    dpoly = sum(lift_constant(GF4._make(c), RF4) * RF4.t_gen() ** i
+                for i, c in enumerate(den))
     return npoly / dpoly
 
 
@@ -414,15 +414,47 @@ class TestRationalFunctionField:
         assert evaluate_at_zero(lift_constant(z4, RF4)) == z4
 
 
+class TestRationalFunctionZero:
+    """GF(q)(t)'s zero scalar is (), the only false one, through every
+    operation that can make or take it."""
+
+    def test_zero_through_every_operation(self):
+        t = RF4.t_gen()
+        x = (RF4.gen() * t + 1) / (t + 1)
+        zero = RF4.zero()
+        assert zero.val == () and (x - x).val == ()
+        assert not zero and zero.is_zero() and x
+        assert (-zero).val == () and (zero + x) == x and (x + zero) == x
+        assert (zero * x).val == () and (x * zero).val == ()
+        assert zero ** 0 == RF4.one() and (zero ** 3).val == ()
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+        assert frobenius(zero, 1).val == () and qth_root(zero).val == ()
+        assert evaluate_at_zero(zero) == GF4.zero()
+        assert str(zero) == "0"
+        assert RF4.parse("0").val == () and RF4.parse("t-t").val == ()
+        assert lift_constant(GF4.zero(), RF4).val == ()
+
+    def test_no_old_zero_literal_in_src(self):
+        src = os.path.dirname(os.path.abspath(fields.__file__))
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as fh:
+                    assert "((), (1,))" not in fh.read(), name
+
+
 # ---------------------------------------------------------------------------
 # reference: GF(q)(t) fractions reduced by a gcd of every result
 
 
 def _rf_reduce(F, num, den):
-    """Canonical form of a fraction: lowest terms, monic denominator."""
+    """Canonical form of a fraction: lowest terms, monic denominator; ()
+    for zero."""
     num, den = _poly_trim(num), _poly_trim(den)
     if not num:
-        return ((), (1,))
+        return ()
     g = _poly_gcd(F, num, den)
     if len(g) > 1:
         num = _poly_divmod(F, num, g)[0]
@@ -432,22 +464,27 @@ def _rf_reduce(F, num, den):
             tuple(F._fmul(c, inv_lead) for c in den))
 
 
+def _fraction(x):
+    """x's (numerator, denominator), zero included."""
+    return x.val or ((), (1,))
+
+
 def ref_add(x, y):
     FB = x.field.finite_part
-    (n1, d1), (n2, d2) = x.val, y.val
+    (n1, d1), (n2, d2) = _fraction(x), _fraction(y)
     num = _poly_add(FB, _poly_mul(FB, n1, d2), _poly_mul(FB, n2, d1))
     return x.field._make(_rf_reduce(FB, num, _poly_mul(FB, d1, d2)))
 
 
 def ref_mul(x, y):
     FB = x.field.finite_part
-    (n1, d1), (n2, d2) = x.val, y.val
+    (n1, d1), (n2, d2) = _fraction(x), _fraction(y)
     return x.field._make(_rf_reduce(FB, _poly_mul(FB, n1, n2),
                                     _poly_mul(FB, d1, d2)))
 
 
 def ref_inverse(x):
-    n, d = x.val
+    n, d = _fraction(x)
     return x.field._make(_rf_reduce(x.field.finite_part, d, n))
 
 

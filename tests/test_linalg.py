@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qbic import CostGuardError
 from qbic.cli import main
 
-from qbic.fields import field_make, frobenius, qth_root
+from qbic.fields import field_make, frobenius, lift_constant, qth_root
 from qbic.linalg import (MatrixF, Subspace, complement, descent_test, image,
                          intersect, kernel, left_orthogonal,
                          parse_matrix_file, format_matrix_file, quotient_dim,
@@ -89,8 +89,9 @@ class TestMatrixBasics:
 
 
 class TestScalarPaths:
-    """Finite fields run matrix products and elimination on int encodings,
-    GF(q)(t) on FieldElements; both share one loop."""
+    """Every field runs matrix products and elimination on its raw scalars
+    (int encodings, or GF(q)(t)'s reduced pairs with () for zero) in one
+    loop."""
 
     def test_field_mismatch(self):
         GF16 = field_make(2, 2, 4)
@@ -107,6 +108,19 @@ class TestScalarPaths:
         assert A.apply(x) == [one, t]
         B = MatrixF(RF4, [[t, z], [one, t]])
         assert B @ B.inverse() == MatrixF.identity(RF4, 2)
+
+    def test_rational_function_zero_entries(self):
+        t, one, zero = RF4.t_gen(), RF4.one(), RF4.zero()
+        rows = [[zero, t, zero, t], [zero, zero, zero, zero],
+                [zero, t * t + one, one / (t + one), zero]]
+        M = MatrixF(RF4, rows)
+        assert M._e[0][0] == () and M._e[1] == ((),) * 4
+        assert M.rows[1][2] == zero and M[0, 2] == zero
+        _, pivots = ref_rref(as_lists(M), 4)
+        assert rank(M) == len(pivots) == 2
+        assert kernel(M).basis.columns() == ref_kernel(RF4, as_lists(M), 4)
+        assert kernel(M.transpose()).basis.columns() == \
+            ref_kernel(RF4, as_lists(M.transpose()), 3)
 
 
 class TestSubspaces:
@@ -324,8 +338,8 @@ def element(field):
         # 0 and 1 often, so that ranks drop and pivots move
         return st.one_of(st.sampled_from([0, 1]),
                          st.integers(0, field.order - 1)).map(field._make)
-    const = st.integers(0, 3).map(lambda c: field._make(((c,) if c else (),
-                                                         (1,))))
+    const = st.integers(0, 3).map(
+        lambda c: lift_constant(field.finite_part._make(c), field))
     t = field.t_gen()
 
     @st.composite
