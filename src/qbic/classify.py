@@ -10,15 +10,17 @@ transpose(U^[1]) . B . U equals the standard Gram matrix entrywise.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import VerificationError, _check
 from .fields import embed, frobenius
-from .forms import (QBicForm, hermitian_gram, hermitian_space,
-                    perp_filtration, total_orthogonal, type_of,
-                    TypeSignature)
+from .forms import (QBicForm, _perp_prime_chain, hermitian_gram,
+                    hermitian_space, perp_filtration, total_orthogonal,
+                    type_of, TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
-                     intersect, kernel, left_orthogonal, pairing, rank,
-                     right_orthogonal, subspace_sum, twist_matrix,
-                     twist_subspace, twisted_congruence)
+                     intersect, kernel, pairing, rank, right_orthogonal,
+                     subspace_sum, twist_matrix, twist_subspace,
+                     twisted_congruence)
 
 
 def jordan_gram(field, m):
@@ -129,15 +131,14 @@ def peel(f, m, P=None):
     b = t.b_m(m)
     if b == 0:
         raise ValueError(f"type has no N_{m} summand")
-    # P'_i V descended to V for i <= m, the largest index read: over a
-    # finite field every piece descends, D_0 = V and D_i is the descent of
-    # the left orthogonal of D_{i-1}.
-    descended = [Subspace.full(field, n)]
-    for _ in range(m):
-        descended.append(descent_test(left_orthogonal(B, descended[-1])))
+    # P'_i V for i <= m, the largest index read: over a finite field every
+    # piece descends to V
+    descended = list(islice(_perp_prime_chain(f), m + 1))
+    _check(all(level == 0 for _, level in descended),
+           "perp-prime piece does not descend to V")
 
     def Ppd(i):
-        return descended[i] if i >= 0 else Subspace.zero(field, n)
+        return descended[i][0] if i >= 0 else Subspace.zero(field, n)
 
     if m == 1:
         Vprime = intersect(P.piece(1), Ppd(1))

@@ -55,116 +55,114 @@ def direct_sum(f, g):
 # filtrations
 
 
+def _perp_chain(f):
+    """P_0 = V, P_1, ...: P_i is the right orthogonal of the twist of
+    P_{i-1}."""
+    P = Subspace.full(f.field, f.n)
+    while True:
+        yield P
+        P = right_orthogonal(f.gram, twist_subspace(P, 1))
+
+
+def _perp_prime_chain(f):
+    """P'_0 = V, P'_1, ... as pairs (S, l): P'_i descends to S on V^[l],
+    with l least.  Twisting commutes with orthogonals and echelon form, so
+    P'_i V^[i] is S twisted i - l times, and P'_{i+1} is the left
+    orthogonal of S under the l-twisted pairing, on V^[l+1]."""
+    S, level = Subspace.full(f.field, f.n), 0
+    while True:
+        yield S, level
+        S, level = left_orthogonal(twist_matrix(f.gram, level), S), level + 1
+        # strip q-th roots as long as they exist
+        while level:
+            root = descent_test(S)
+            if root is None:
+                break
+            S, level = root, level - 1
+
+
+def _periodic(chain, n, what):
+    """The items of a chain up to the first two that equal the two before
+    them.  Each item is a function of the one before, so from there on
+    the chain has period 2."""
+    items = []
+    for x in chain:
+        items.append(x)
+        if len(items) >= 4 and items[-2:] == items[-4:-2]:
+            return items
+        _check(len(items) <= n + 3, f"{what} failed to stabilize")
+
+
+def _at(items, i):
+    """Item i >= 0 of a chain stored by _periodic, also past the stored
+    range."""
+    if i < 0:
+        raise ValueError("filtration index must be >= 0")
+    if i >= len(items):
+        i = len(items) - 2 + (i - len(items)) % 2
+    return items[i]
+
+
 class PerpFiltration:
     """The chain P_{-1} = 0, P_0 = V, P_i = right orthogonal of the twist
     of P_{i-1}.  Odd pieces increase to p_minus, even pieces decrease to
     p_plus."""
 
-    __slots__ = ("n", "_pieces", "p_minus", "p_plus")
+    __slots__ = ("n", "_pieces")
 
-    def __init__(self, n, pieces, p_minus, p_plus):
+    def __init__(self, n, pieces):
         self.n = n
-        self._pieces = pieces  # index i+1 holds P_i, starting at P_{-1}
-        self.p_minus = p_minus
-        self.p_plus = p_plus
+        self._pieces = pieces  # P_0, P_1, ... up to where they repeat
 
     def piece(self, i):
-        """P_i V for any i >= -1; stabilized values beyond the computed
-        range."""
+        """P_i V for any i >= -1."""
         if i < -1:
             raise ValueError("filtration index must be >= -1")
-        if i + 1 < len(self._pieces):
-            return self._pieces[i + 1]
-        return self.p_minus if i % 2 else self.p_plus
+        if i == -1:
+            return Subspace.zero(self._pieces[0].field, self.n)
+        return _at(self._pieces, i)
+
+    @property
+    def p_minus(self):
+        return self.piece(2 * len(self._pieces) + 1)
+
+    @property
+    def p_plus(self):
+        return self.piece(2 * len(self._pieces))
 
 
 def perp_filtration(f):
-    n = f.n
-    zero = Subspace.zero(f.field, n)
-    full = Subspace.full(f.field, n)
-    pieces = [zero, full]
-    step = 1
-    while True:
-        prev = pieces[-1]
-        nxt = right_orthogonal(f.gram, twist_subspace(prev, 1))
-        pieces.append(nxt)
-        if len(pieces) >= 5 and pieces[-1] == pieces[-3] \
-                and pieces[-2] == pieces[-4]:
-            break
-        step += 1
-        _check(step <= n + 3, "perp filtration failed to stabilize")
-    p_plus = pieces[-1] if (len(pieces) - 2) % 2 == 0 else pieces[-2]
-    p_minus = pieces[-1] if (len(pieces) - 2) % 2 == 1 else pieces[-2]
-    return PerpFiltration(n, pieces, p_minus, p_plus)
+    return PerpFiltration(
+        f.n, _periodic(_perp_chain(f), f.n, "perp filtration"))
 
 
 class PerpPrimeFiltration:
     """The chain P'_0 = V, P'_i V^[i] = left orthogonal (under the
-    (i-1)-twisted pairing) of the previous piece; each piece is stored in
-    the coordinates of V^[i] together with the minimal twist level it
-    descends to."""
+    (i-1)-twisted pairing) of the previous piece; each piece is stored at
+    the least twist level it descends to."""
 
-    __slots__ = ("n", "pieces_on_twist", "descent_levels")
+    __slots__ = ("n", "_pieces")
 
-    def __init__(self, n, pieces_on_twist, descent_levels):
+    def __init__(self, n, pieces):
         self.n = n
-        self.pieces_on_twist = pieces_on_twist
-        self.descent_levels = descent_levels
+        self._pieces = pieces  # (S, l) pairs of _perp_prime_chain
 
     def piece_on_twist(self, i):
         """P'_i V^[i] in V^[i] coordinates, for any i >= 0."""
-        if i < 0:
-            raise ValueError("filtration index must be >= 0")
-        if i < len(self.pieces_on_twist):
-            return self.pieces_on_twist[i]
-        # stabilized: P'_{i} = twist^2 of P'_{i-2} once both parities settle
-        j = i
-        while j >= len(self.pieces_on_twist):
-            j -= 2
-        return twist_subspace(self.pieces_on_twist[j], i - j)
+        S, level = _at(self._pieces, i)
+        return twist_subspace(S, i - level)
 
     def descent_level(self, i):
-        """Minimal twist level P'_i descends to.  Beyond the stored range
-        P'_i is P'_j twisted i - j times, and each twist brings as many
-        q-th roots as it adds, so the level is that of P'_j."""
-        if i < len(self.descent_levels):
-            return self.descent_levels[i]
-        j = i
-        while j >= len(self.descent_levels):
-            j -= 2
-        return self.descent_levels[j]
+        """Least twist level P'_i descends to."""
+        return _at(self._pieces, i)[1]
 
     def nu(self):
-        return max(self.descent_levels)
+        return max(level for _, level in self._pieces)
 
 
 def perp_prime_filtration(f):
-    n = f.n
-    full = Subspace.full(f.field, n)
-    pieces = [full]
-    levels = [0]
-    step = 1
-    while True:
-        prev = pieces[-1]
-        nxt = left_orthogonal(twist_matrix(f.gram, step - 1), prev)
-        pieces.append(nxt)
-        # minimal descent level: strip roots as long as they exist
-        S, lvl = nxt, step
-        while lvl > 0:
-            S2 = descent_test(S)
-            if S2 is None:
-                break
-            S = S2
-            lvl -= 1
-        levels.append(lvl)
-        if len(pieces) >= 5:
-            a = twist_subspace(pieces[-3], 2)
-            b = twist_subspace(pieces[-4], 2)
-            if pieces[-1] == a and pieces[-2] == b:
-                break
-        step += 1
-        _check(step <= n + 3, "perp-prime filtration failed to stabilize")
-    return PerpPrimeFiltration(n, pieces, levels)
+    return PerpPrimeFiltration(
+        f.n, _periodic(_perp_prime_chain(f), f.n, "perp-prime filtration"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,7 @@ def hermitian_gram(h):
 
 def type_report(f):
     t = type_of(f)
-    nu = perp_prime_filtration(f).nu()
+    nu = nu_index(f)
     report = {
         "type": str(t),
         "n": f.n,

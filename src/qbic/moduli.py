@@ -222,9 +222,6 @@ def _witness_gram(field, family, s, t):
 
 def _family_claim(family, s, t):
     """(generic type, special type) the family's Gram matrix must realize."""
-    def T(a=0, **blocks):
-        return TypeSignature(a, {int(k[1:]): v for k, v in blocks.items()})
-
     def N(*ms):
         b = {}
         for m in ms:

@@ -35,3 +35,11 @@ def random_invertible(field, n, rng):
 
 def rng_for(name):
     return random.Random(name)
+
+
+# the 14 family witnesses of the classify-ladder benchmark, as
+# (family, s, t) for moduli._witness_gram; their nu runs 0-5
+LADDER_WITNESSES = ((1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
+                    (2, 3, None), (3, 1, None), (3, 2, None), (3, 3, None),
+                    (4, 1, 1), (4, 2, 2), (5, 1, 1), (6, 0, None),
+                    (6, 1, None), (6, 2, None))

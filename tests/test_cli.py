@@ -392,6 +392,18 @@ class TestWitnessCommand:
         assert data["generic_type"] == "N3^2"
         assert data["special_type"] == "0+N5"
 
+    def test_wrong_claim_exits_4(self, capsys, monkeypatch):
+        from qbic import moduli
+        from qbic.forms import parse_type
+
+        monkeypatch.setattr(moduli, "_family_claim", lambda *args: (
+            parse_type("0+N5"), parse_type("N3^2")))
+        code, out, err = run(capsys, "witness", "--family", "5",
+                             "--s", "1", "--t", "1")
+        assert code == 4 and out == ""
+        assert "fiber types N3^2 ~> 0+N5, not the claimed 0+N5 ~> N3^2" \
+            in err
+
     def test_bad_family(self, capsys):
         for family in ("0", "7", "9"):
             code, out, err = run(capsys, "witness", "--family", family,

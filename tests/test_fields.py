@@ -7,7 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbic import CostGuardError, fields, moduli
+from conftest import LADDER_WITNESSES
+from qbic import CostGuardError, fields, forms, moduli
 from qbic.fields import (TABLE_CAP, _PolyRing, _poly_add, _poly_divmod,
                          _poly_gcd, _poly_mul, _poly_trim, embed,
                          evaluate_at_zero, extension_field, field_make,
@@ -554,13 +555,6 @@ class TestFractionsAgainstReference:
             assert (x ** -2).val == ref_pow(ref_inverse(x), 2).val
 
 
-# the 14 family witnesses of the classify-ladder benchmark
-LADDER_WITNESSES = ((1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
-                    (2, 3, None), (3, 1, None), (3, 2, None), (3, 3, None),
-                    (4, 1, 1), (4, 2, 2), (5, 1, 1), (6, 0, None),
-                    (6, 1, None), (6, 2, None))
-
-
 def test_gcds_typing_the_ladder_witnesses(monkeypatch):
     """A deterministic work count: the polynomial gcds taken while typing
     the classify-ladder witnesses over GF(4)(t).  A gcd of every sum and
@@ -577,6 +571,30 @@ def test_gcds_typing_the_ladder_witnesses(monkeypatch):
         gram = moduli._witness_gram(RF4, fam, s, t)
         type_report(QBicForm(RF4, gram))
     assert len(calls) == 156
+
+
+def test_filtration_work_typing_the_ladder_witnesses(monkeypatch):
+    """A deterministic work count: the orthogonals and descent tests taken
+    while typing the classify-ladder witnesses over GF(4)(t).  Building
+    each perp-prime piece on V^[i] and descending it from level i took 77
+    left orthogonals and 204 descent tests."""
+    calls = {}
+
+    def counting(name):
+        fn = getattr(forms, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return counted
+
+    for name in ("left_orthogonal", "right_orthogonal", "descent_test"):
+        monkeypatch.setattr(forms, name, counting(name))
+    for fam, s, t in LADDER_WITNESSES:
+        gram = moduli._witness_gram(RF4, fam, s, t)
+        type_report(QBicForm(RF4, gram))
+    assert calls == {"left_orthogonal": 75, "right_orthogonal": 75,
+                     "descent_test": 97}
 
 
 class TestConstructionAndParsing:

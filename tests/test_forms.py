@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_form, random_invertible, rng_for
-from qbic import CostGuardError, VerificationError
+from conftest import (LADDER_WITNESSES, random_form, random_invertible,
+                      rng_for)
+from qbic import CostGuardError, VerificationError, _check, moduli
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
@@ -10,12 +11,14 @@ from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         rank_corank, type_of, type_report)
 from qbic.classify import jordan_gram, standard_gram
 from qbic.linalg import (MatrixF, Subspace, descent_test, intersect,
-                         left_orthogonal, twist_subspace, twisted_congruence)
+                         left_orthogonal, twist_matrix, twist_subspace,
+                         twisted_congruence)
 from qbic.moduli import enumerate_types
 
 GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
 RF4 = field_make(2, 1, 2, kind="rational-function")
+RF9 = field_make(3, 1, 2, kind="rational-function")
 
 
 def form_of(text, field=GF4):
@@ -32,6 +35,86 @@ def descended_piece(pfilt, i):
             break
         S = descent_test(S)
     return S
+
+
+def reference_perp_prime_filtration(f):
+    """The perp-prime filtration built on the twists themselves: P'_i V^[i]
+    is the left orthogonal of P'_{i-1} V^[i-1] under the (i-1)-twisted
+    pairing, its least descent level is found by stripping q-th roots from
+    level i, and the chain stops where its last two pieces are the two
+    before them twisted twice.  Returns piece_on_twist and descent_level
+    as functions of i >= 0, and nu."""
+    n = f.n
+    pieces = [Subspace.full(f.field, n)]
+    levels = [0]
+    step = 1
+    while True:
+        nxt = left_orthogonal(twist_matrix(f.gram, step - 1), pieces[-1])
+        pieces.append(nxt)
+        S, lvl = nxt, step
+        while lvl > 0:
+            S2 = descent_test(S)
+            if S2 is None:
+                break
+            S = S2
+            lvl -= 1
+        levels.append(lvl)
+        if len(pieces) >= 5:
+            a = twist_subspace(pieces[-3], 2)
+            b = twist_subspace(pieces[-4], 2)
+            if pieces[-1] == a and pieces[-2] == b:
+                break
+        step += 1
+        _check(step <= n + 3, "perp-prime filtration failed to stabilize")
+
+    def stored(i):
+        # past the stored range P'_i is P'_j twisted i - j times
+        j = i
+        while j >= len(pieces):
+            j -= 2
+        return j
+
+    def piece_on_twist(i):
+        return twist_subspace(pieces[stored(i)], i - stored(i))
+
+    def descent_level(i):
+        return levels[stored(i)]
+
+    return piece_on_twist, descent_level, max(levels)
+
+
+class TestPerpPrimeAgainstReference:
+    """Pieces kept at their least descent level give the pieces, levels
+    and nu of the filtration built on the twists V^[i]."""
+
+    def check(self, f):
+        piece_on_twist, descent_level, nu = \
+            reference_perp_prime_filtration(f)
+        pfilt = perp_prime_filtration(f)
+        for i in range(f.n + 5):
+            assert pfilt.piece_on_twist(i) == piece_on_twist(i)
+            assert pfilt.descent_level(i) == descent_level(i)
+        assert pfilt.nu() == nu
+        return nu
+
+    @pytest.mark.parametrize("field", [GF4, GF9, RF4, RF9],
+                             ids=["gf4", "gf9", "gf4t", "gf9t"])
+    def test_random_forms_and_conjugates(self, field):
+        rng = rng_for(f"perp-prime-reference/{field.q}/{field.kind}")
+        # conjugates over GF(q^2)(t) grow large fractions past n = 3
+        for n in range(1, 5 if field.kind == "finite" else 4):
+            for t in enumerate_types(n):
+                A = random_invertible(field, n, rng)
+                self.check(QBicForm(field, twisted_congruence(
+                    standard_gram(t, field), A)))
+        for _ in range(20):
+            self.check(random_form(field, rng.randint(1, 4), rng))
+
+    @pytest.mark.parametrize("field", [RF4, RF9], ids=["gf4t", "gf9t"])
+    def test_ladder_witnesses(self, field):
+        nus = [self.check(QBicForm(field, moduli._witness_gram(field, *w)))
+               for w in LADDER_WITNESSES]
+        assert sorted(set(nus)) == [0, 1, 2, 3, 4, 5]
 
 
 class TestPerpFiltration:
@@ -156,6 +239,12 @@ class TestDescentIndex:
                         assert pfilt.descent_level(i) == 0
                         assert descended_piece(pfilt, i) == D
                         D = descent_test(left_orthogonal(f.gram, D))
+
+    def test_negative_index_is_refused(self):
+        pfilt = perp_prime_filtration(form_of("N3"))
+        for read in (pfilt.piece_on_twist, pfilt.descent_level):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                read(-1)
 
     def test_nu_zero_bound_cases(self):
         assert nu_zero_bound(parse_type("0+N5")) == 3   # all blocks odd
