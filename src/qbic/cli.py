@@ -117,6 +117,8 @@ def cmd_aut(args):
                "group_dim": group_dim(t), "points": None}, args.output)
         return 0
     f = _read_form(args.gram, args.field)
+    if args.points:
+        _require_finite(f, "aut --points")
     _emit(aut_report(f, points=args.points), args.output)
     return 0
 

@@ -234,9 +234,10 @@ class FieldDescriptor:
     descriptor per (p, e, k, modulus, kind), so equality is identity.
 
     Every descriptor does its arithmetic on raw scalars through the same
-    methods -- _fadd, _fneg, _fmul, _finv, _fpow, _frob (a -> a^n for
-    n = q^i, which the caller computes once), _root (the q-th root, None
-    when there is none), _str -- and zero is the only false scalar.
+    methods -- _fadd, _fneg, _fmul, _axpy (a row update in place),
+    _finv, _fpow, _frob (a -> a^n for n = q^i, which the caller computes
+    once), _root (the q-th root, None when there is none), _str -- and
+    zero is the only false scalar.
     Finite fields above TABLE_CAP use the polynomial arithmetic here,
     smaller ones are _ZechField, and GF(p^k)(t) is _RationalField.
     """
@@ -302,6 +303,13 @@ class FieldDescriptor:
     def _fmul(self, a, b):
         R = self._ring
         return R.unpack(R.mul(R.pack(a), R.pack(b)))
+
+    def _axpy(self, acc, k, c, v):
+        """acc[k + j] += c*v[j] for every nonzero v[j], in place: the inner
+        loop of GF(q)(t)'s polynomial products and divisions."""
+        for j, x in enumerate(v, k):
+            if x:
+                acc[j] = self._fadd(acc[j], self._fmul(c, x))
 
     def _finv(self, a):
         if a == 0:
@@ -458,6 +466,18 @@ class _ZechField(FieldDescriptor):
             return self._exp[log[a] + log[b]]
         return 0
 
+    def _axpy(self, acc, k, c, v):
+        if self.p != 2:
+            return super()._axpy(acc, k, c, v)
+        if not c:
+            return
+        exp, log = self._exp, self._log
+        lc = log[c]
+        # the tables read once per call, and a sum is an xor
+        for j, x in enumerate(v, k):
+            if x:
+                acc[j] ^= exp[lc + log[x]]
+
     def _finv(self, a):
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
@@ -535,7 +555,8 @@ def field_make(p, e, k, modulus=None, kind="finite"):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in t over the finite part, coefficients = int encodings
+# polynomials in t over the finite part, coefficients = int encodings, as
+# tuples with no trailing zero
 
 
 def _poly_trim(a):
@@ -561,40 +582,58 @@ def _poly_neg(F, a):
 def _poly_mul(F, a, b):
     if not a or not b:
         return ()
+    if len(a) == 1 and a[0] == 1:
+        return b
+    if len(b) == 1 and b[0] == 1:
+        return a
     out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F._fadd(out[i + j], F._fmul(ai, bj))
-    return _poly_trim(out)
+    axpy = F._axpy
+    for i, c in enumerate(a):
+        if c:
+            axpy(out, i, c, b)
+    # the leading coefficients multiply to a nonzero one
+    return tuple(out)
+
+
+def _poly_rem(F, a, b, q=None):
+    """The remainder of a by b, by long division on F._axpy.  The quotient
+    is filled into q, a list of len(a) - len(b) + 1 zeros, only when one is
+    passed: Euclid needs the remainders alone (Knuth, TAOCP vol. 2,
+    4.6.1)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return a
+    inv = F._finv(b[-1])
+    low = b[:db]
+    r = list(a)
+    axpy = F._axpy
+    # each step cancels the top coefficient, which is then never read again
+    for sh in range(len(r) - 1 - db, -1, -1):
+        c = r[sh + db]
+        if c:
+            c = F._fmul(c, inv)
+            if q is not None:
+                q[sh] = c
+            axpy(r, sh, F._fneg(c), low)
+    return _poly_trim(r[:db])
 
 
 def _poly_divmod(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = F._finv(b[-1])
-    while len(a) >= len(b):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = F._fmul(a[-1], inv_lead)
-        sh = len(a) - len(b)
-        q[sh] = c
-        for i, bi in enumerate(b):
-            a[sh + i] = F._fadd(a[sh + i], F._fneg(F._fmul(c, bi)))
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
+    r = _poly_rem(F, a, b, q)
+    return tuple(q), r
 
 
 def _poly_gcd(F, a, b):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_divmod(F, a, b)[1]
-    if a:
+    """The monic gcd, by Euclid on remainders."""
+    while len(b) > 1:
+        a, b = b, _poly_rem(F, a, b)
+    if b:
+        # a nonzero constant divides everything
+        return (1,)
+    if a and a[-1] != 1:
         inv = F._finv(a[-1])
         a = tuple(F._fmul(c, inv) for c in a)
     return a

@@ -255,6 +255,13 @@ class TestAutCommand:
                       "262144 candidate columns"):
             assert bound in err
 
+    def test_rational_function_field_is_input_error(self, capsys,
+                                                     rational_path):
+        code, out, err = run(capsys, "aut", rational_path, "--points")
+        assert code == 2 and out == "" and "finite field" in err
+        code, out, _ = run(capsys, "aut", rational_path)
+        assert code == 0 and json.loads(out)["points"] is None
+
     def test_needs_exactly_one_source(self, capsys, n3_path):
         code, _, _ = run(capsys, "aut")
         assert code == 2

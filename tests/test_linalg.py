@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +235,8 @@ class TestMatrixFiles:
                max_size=4).map(" ".join), max_size=4))
     def test_hostile_files_are_refused_cleanly(self, header, dim, rows):
         text = "\n".join([header, dim, *rows]) + "\n"
+        # a generous CPU bound, so a hanging kernel fails instead of stalling
+        start = time.process_time()
         try:
             parse_matrix_file(text)
             parsed = True
@@ -247,6 +250,7 @@ class TestMatrixFiles:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(["type", path])
         assert code in ((0,) if parsed else (2, 3))
+        assert time.process_time() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
