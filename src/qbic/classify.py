@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from . import VerificationError, _check
+from . import _check
 from .fields import embed, frobenius
-from .forms import (QBicForm, _perp_prime_chain, hermitian_gram,
+from .forms import (QBicForm, _check_hermitian_system, _perp_prime_chain,
                     hermitian_space, perp_filtration, total_orthogonal,
                     type_of, TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
@@ -308,6 +308,32 @@ def _standardize_block(field, B, M, m, b):
 # orthonormalizing the nonsingular residue
 
 
+def _extension_degree(f):
+    """The least r such that the Hermitian vectors of the nonsingular form f
+    span over the degree-r extension.
+
+    They are the fixed points of v -> A v^sigma, with A = B^-1
+    transpose(B^[1]) and sigma the q^2-power Frobenius.  By Lang's theorem
+    they span over the algebraic closure, and over the degree-r extension
+    exactly when M^r = 1, where M = A A^sigma ... A^(sigma^(s-1)) and
+    s = [k : F_{q^2}]: r is the order of M.  Each r is refused with
+    CostGuardError, before M^r is formed, when hermitian_space would refuse
+    it."""
+    field, B = f.field, f.gram
+    _check_hermitian_system(f, 1)
+    A = B.inverse() @ twist_matrix(B, 1).transpose()
+    M = A
+    for i in range(1, field.k // (2 * field.e)):
+        M = M @ twist_matrix(A, 2 * i)
+    one = MatrixF.identity(field, f.n)
+    r, power = 1, M
+    while power != one:
+        r += 1
+        _check_hermitian_system(f, r)
+        power = power @ M
+    return r
+
+
 def orthonormalize_nonsingular(f, allow_extension=True):
     """Carry a nonsingular form to the identity Gram matrix, over the
     smallest extension whose Hermitian vectors span."""
@@ -320,103 +346,53 @@ def orthonormalize_nonsingular(f, allow_extension=True):
     # a type has no N_m block exactly when its corank is 0
     if rank(f.gram) != n:
         raise ValueError("form is singular")
-    t = TypeSignature(n, {})
-    r_cap = max(2 * n, 4)
-    h = None
-    for r in range(1, r_cap + 1):
-        cand = hermitian_space(f, r)
-        if cand.d == n:
-            h = cand
-            break
-    if h is None:
-        raise VerificationError(
-            f"Hermitian vectors do not span within extensions of degree "
-            f"{r_cap}")
-    if h.r > 1 and not allow_extension:
-        raise NeedsExtension(h.r)
-    K = h.ext_field
-    fq2 = h.fq2
-    H = hermitian_gram(h)
-    A = _diagonalize_hermitian(H)
-    HA = twisted_congruence(H, A)
-    # scale each diagonal entry to 1 via the norm equation x^(q+1) = c^{-1}
-    q = fq2.q
-    scales = []
-    for i in range(n):
-        c = HA.rows[i][i]
-        _check(not c.is_zero(), "diagonalized Hermitian Gram is singular")
-        target = c.inverse()
-        x = next(u for u in fq2.elements()
-                 if not u.is_zero() and u ** (q + 1) == target)
-        scales.append(x)
-    D = MatrixF(fq2, [[scales[i] if i == j else fq2.zero()
-                       for j in range(n)] for i in range(n)])
-    A = A @ D
-    _check(twisted_congruence(H, A) == MatrixF.identity(fq2, n),
-           "scaled Hermitian Gram is not the identity")
+    r = _extension_degree(f)
+    if r > 1 and not allow_extension:
+        raise NeedsExtension(r)
+    h = hermitian_space(f, r)
+    _check(h.d == n, f"Hermitian vectors do not span over the degree-{r} "
+                     f"extension")
+    K, BK, q = h.ext_field, h.gram_ext, h.fq2.q
 
-    # assemble the transform over K: columns are F_{q^2}-combinations of
-    # the Hermitian basis vectors
-    emb2 = embed(fq2, K)
-    Vmat = MatrixF(K, h.basis).transpose()
-    A_K = MatrixF(K, [[emb2.apply(a) for a in row] for row in A.rows])
-    U = Vmat @ A_K
-    BK = h.gram_ext
+    def fq2():
+        # F_{q^2} inside K, in its encoding order
+        return map(h.fq2_embedding.apply, h.fq2.elements())
+
+    def add(u, c, w):
+        return [a + c * b for a, b in zip(u, w)]
+
+    # Hermitian Gram-Schmidt over K on the Hermitian basis; h(v, w) =
+    # beta(v, w) lies in F_{q^2} and h(w, v) = h(v, w)^q
+    vs = [list(v) for v in h.basis]
+    for i in range(n):
+        piv = next((j for j in range(i, n)
+                    if not pairing(BK, vs[j], vs[j]).is_zero()), None)
+        if piv is None:
+            # h(u + lam w, u + lam w) = Tr(lam h(u, w)) when h(u, u) and
+            # h(w, w) vanish; the rest of the form is nondegenerate, so u
+            # pairs with some later w
+            j = next((j for j in range(i + 1, n)
+                      if not pairing(BK, vs[i], vs[j]).is_zero()), None)
+            _check(j is not None, "Hermitian Gram is degenerate")
+            c = pairing(BK, vs[i], vs[j])
+            lam = next((x for x in fq2()
+                        if not (x * c + frobenius(x * c, 1)).is_zero()), None)
+            _check(lam is not None, "no scalar of nonzero trace")
+            vs[i] = add(vs[i], lam, vs[j])
+            piv = i
+        vs[i], vs[piv] = vs[piv], vs[i]
+        cinv = pairing(BK, vs[i], vs[i]).inverse()
+        for j in range(i + 1, n):
+            vs[j] = add(vs[j], -(cinv * pairing(BK, vs[i], vs[j])), vs[i])
+        # scale to h(v, v) = 1 through the norm equation x^(q+1) = c^-1
+        x = next((x for x in fq2() if not x.is_zero()
+                  and x ** (q + 1) == cinv), None)
+        _check(x is not None, "no norm solution for a Hermitian diagonal")
+        vs[i] = [x * a for a in vs[i]]
+    U = MatrixF(K, vs).transpose()
     verified = twisted_congruence(BK, U) == MatrixF.identity(K, n)
     _check(verified, "orthonormalization certificate failed to verify")
-    return NormalFormCertificate(f, t, U, h.r, K, verified)
-
-
-def _diagonalize_hermitian(H):
-    """Congruence transform A with A^[1]T H A diagonal; H nondegenerate
-    Hermitian over F_{q^2}."""
-    fq2 = H.field
-    n = H.nrows
-    A = MatrixF.identity(fq2, n)
-    work = H
-    done = 0
-    while done < n:
-        idx = list(range(done, n))
-        # find a vector with nonzero self-pairing among remaining columns
-        piv = next((j for j in idx if not work.rows[j][j].is_zero()), None)
-        if piv is None:
-            # mix two columns: h(u + lam w, u + lam w) = Tr(lam h(u, w))
-            pair = next(((i, j) for i in idx for j in idx
-                         if i != j and not work.rows[i][j].is_zero()))
-            i, j = pair
-            lam = next(lv for lv in fq2.elements()
-                       if not (lv * work.rows[i][j]
-                               + frobenius(lv * work.rows[i][j], 1)).is_zero())
-            T = MatrixF.identity(fq2, n)
-            rows = [list(r) for r in T.rows]
-            rows[j][i] = lam
-            T = MatrixF(fq2, rows)
-            A = A @ T
-            work = twisted_congruence(H, A)
-            continue
-        # swap pivot into position, then clear its row/column
-        T = MatrixF.identity(fq2, n)
-        if piv != done:
-            rows = [list(r) for r in T.rows]
-            rows[done][done] = fq2.zero()
-            rows[piv][piv] = fq2.zero()
-            rows[done][piv] = fq2.one()
-            rows[piv][done] = fq2.one()
-            T = MatrixF(fq2, rows)
-            A = A @ T
-            work = twisted_congruence(H, A)
-        c = work.rows[done][done]
-        rows = [[fq2.one() if i == j else fq2.zero() for j in range(n)]
-                for i in range(n)]
-        cinv = c.inverse()
-        for j in range(done + 1, n):
-            # clear h(v_done, v_j): v_j -> v_j - (h(v_done,v_j)/c) v_done
-            rows[done][j] = -(cinv * work.rows[done][j])
-        T = MatrixF(fq2, rows)
-        A = A @ T
-        work = twisted_congruence(H, A)
-        done += 1
-    return A
+    return NormalFormCertificate(f, TypeSignature(n, {}), U, r, K, verified)
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +438,7 @@ def normal_form(f, allow_extension=True):
 
     # move the identity block to the front: degenerate blocks were peeled
     # smallest first, so the current Gram is N_1^... then 1^a at the end
-    perm_cols = []
-    for j in range(n - t.a, n):
-        perm_cols.append(j)
-    for j in range(n - t.a):
-        perm_cols.append(j)
-    Pm = MatrixF(K, [[K.one() if perm_cols[j] == i else K.zero()
-                      for j in range(n)] for i in range(n)])
-    U_K = U_K @ Pm
+    U_K = U_K.submatrix(range(n), [*range(n - t.a, n), *range(n - t.a)])
 
     target = standard_gram(t, K)
     verified = twisted_congruence(B_K, U_K) == target

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import CostGuardError, _check
-from .fields import embed, extension_field
+from .fields import _check_modulus_search, embed, extension_field
 from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
                      descent_test, intersect, kernel, left_orthogonal,
                      pairing, rank, right_orthogonal, twist_matrix,
@@ -381,16 +381,40 @@ def _flatten_ext_vector(K, vec):
     return out
 
 
+# hermitian_space solves a GF(p) system with n k r columns over
+# GF(p^(k r)); past this bound a solve takes over a second
+_HERMITIAN_COLUMN_CAP = 256
+
+
+def _check_hermitian_system(f, r):
+    """Refuse with CostGuardError, before anything is built, the Hermitian
+    system of f over the degree-r extension when it has more than
+    _HERMITIAN_COLUMN_CAP columns or the extension's modulus search is past
+    its guard."""
+    base = f.field
+    columns = f.n * base.k * r
+    if columns > _HERMITIAN_COLUMN_CAP:
+        raise CostGuardError(
+            f"Hermitian vectors over the degree-{r} extension need a GF(p) "
+            f"system of n*k*r = {columns} columns; guard is "
+            f"<= {_HERMITIAN_COLUMN_CAP}")
+    _check_modulus_search(base.p, base.k * r,
+                          f"the degree-{r} extension of "
+                          f"GF({base.p}^{base.k})")
+
+
 def hermitian_space(f, r):
     """Solve for the Hermitian vectors of f over the degree-r extension.
 
     The defining map x -> Bx - transpose(B^[1]) x^(q^2) is F_{q^2}-linear,
     so the solutions are found by GF(p)-linear algebra after restricting
-    scalars along the fixed power basis of the extension."""
+    scalars along the fixed power basis of the extension.  Refused by
+    _check_hermitian_system before the extension is built."""
     base = f.field
     if base.kind != "finite":
         raise ValueError("Hermitian point counting needs a finite base "
                          "field")
+    _check_hermitian_system(f, r)
     K = extension_field(base, r)
     emb = embed(base, K)
     B = MatrixF(K, [[emb.apply(a) for a in row] for row in f.gram.rows])

@@ -3,9 +3,10 @@ import time
 import pytest
 
 from conftest import random_invertible, rng_for
-from qbic import classify
-from qbic.fields import field_make
-from qbic.forms import QBicForm, parse_type, type_of
+from qbic import CostGuardError, classify
+from qbic.fields import embed, field_make, frobenius
+from qbic.forms import (QBicForm, hermitian_gram, hermitian_space,
+                        parse_type, type_of)
 from qbic.classify import (NeedsExtension, is_isomorphic, jordan_gram,
                            normal_form, standard_gram)
 from qbic.linalg import (MatrixF, Subspace, image, intersect,
@@ -15,6 +16,7 @@ from qbic.moduli import enumerate_types
 GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
 GF16 = field_make(2, 2, 4)
+GF16_Q2 = field_make(2, 1, 4)
 GF25 = field_make(5, 1, 2)
 GF256 = field_make(2, 4, 8)
 GF1024 = field_make(2, 5, 10)
@@ -72,6 +74,17 @@ class TestNormalForm:
         cert = normal_form(f)
         assert cert.verified and cert.extension_degree == 3
         assert cert.extension_field.order == 4 ** 3
+
+    @pytest.mark.parametrize("field, rows, degree", [
+        (GF16, [["z^3"]], 5),
+        (GF4, [["0", "z+1"], ["z+1", "1"]], 6)], ids=["gf16-z^3", "gf4-1^2"])
+    def test_extension_degree_past_the_old_search(self, field, rows, degree):
+        # r is the order of M; a search over r <= max(2n, 4) missed both
+        f = QBicForm(field, MatrixF(field, [[field.parse(x) for x in row]
+                                            for row in rows]))
+        cert = normal_form(f)
+        assert cert.verified and cert.extension_degree == degree
+        assert cert.target == parse_type(f"1^{f.n}")
 
     def test_needs_extension(self):
         z = GF4.gen()
@@ -218,3 +231,114 @@ class TestOrthonormalize:
         f = conjugate(parse_type(text), GF4, rng_for(f"singular-{text}"))
         with pytest.raises(ValueError, match="form is singular"):
             classify.orthonormalize_nonsingular(f)
+
+
+def reference_orthonormalize(f):
+    """Reference for classify.orthonormalize_nonsingular: the search over
+    r <= max(2n, 4) and the congruence-by-congruence diagonalization of the
+    Hermitian Gram over F_{q^2} that it used before the extension degree
+    was read from the order of M.  Returns (transform, r), or None when no
+    r in the search spans."""
+    n = f.n
+    h = next((h for h in (hermitian_space(f, r)
+                          for r in range(1, max(2 * n, 4) + 1))
+              if h.d == n), None)
+    if h is None:
+        return None
+    K, fq2 = h.ext_field, h.fq2
+    H = hermitian_gram(h)
+    A = reference_diagonalize_hermitian(H)
+    HA = twisted_congruence(H, A)
+    scales = []
+    for i in range(n):
+        target = HA.rows[i][i].inverse()
+        scales.append(next(u for u in fq2.elements() if not u.is_zero()
+                           and u ** (fq2.q + 1) == target))
+    D = MatrixF(fq2, [[scales[i] if i == j else fq2.zero()
+                       for j in range(n)] for i in range(n)])
+    A = A @ D
+    emb2 = embed(fq2, K)
+    A_K = MatrixF(K, [[emb2.apply(a) for a in row] for row in A.rows])
+    return MatrixF(K, h.basis).transpose() @ A_K, h.r
+
+
+def reference_diagonalize_hermitian(H):
+    """Congruence transform A with transpose(A^[1]) H A diagonal, for H
+    nondegenerate Hermitian over F_{q^2}: one full congruence per step."""
+    fq2, n = H.field, H.nrows
+    A = MatrixF.identity(fq2, n)
+    work = H
+    done = 0
+    while done < n:
+        idx = list(range(done, n))
+        piv = next((j for j in idx if not work.rows[j][j].is_zero()), None)
+        if piv is None:
+            # mix two columns: h(u + lam w, u + lam w) = Tr(lam h(u, w))
+            i, j = next(((i, j) for i in idx for j in idx
+                         if i != j and not work.rows[i][j].is_zero()))
+            lam = next(lv for lv in fq2.elements()
+                       if not (lv * work.rows[i][j]
+                               + frobenius(lv * work.rows[i][j], 1)).is_zero())
+            rows = [list(r) for r in MatrixF.identity(fq2, n).rows]
+            rows[j][i] = lam
+            A = A @ MatrixF(fq2, rows)
+            work = twisted_congruence(H, A)
+            continue
+        if piv != done:
+            rows = [list(r) for r in MatrixF.identity(fq2, n).rows]
+            rows[done][done] = rows[piv][piv] = fq2.zero()
+            rows[done][piv] = rows[piv][done] = fq2.one()
+            A = A @ MatrixF(fq2, rows)
+            work = twisted_congruence(H, A)
+        cinv = work.rows[done][done].inverse()
+        rows = [list(r) for r in MatrixF.identity(fq2, n).rows]
+        for j in range(done + 1, n):
+            rows[done][j] = -(cinv * work.rows[done][j])
+        A = A @ MatrixF(fq2, rows)
+        work = twisted_congruence(H, A)
+        done += 1
+    return A
+
+
+ORTHONORMALIZE_FIELDS = [GF4, GF9, GF16_Q2, GF16, GF25]
+ORTHONORMALIZE_IDS = ["gf4", "gf9", "gf16-q2", "gf16-q4", "gf25"]
+
+
+def random_nonsingular_forms(field, counts):
+    """Seeded random nonsingular forms, counts[n] of each dimension n."""
+    rng = rng_for(f"nonsingular-{field.spec_string()}")
+    return [QBicForm(field, random_invertible(field, n, rng))
+            for n, count in counts.items() for _ in range(count)]
+
+
+class TestOrthonormalizeAgainstReference:
+    @pytest.mark.parametrize("field", ORTHONORMALIZE_FIELDS,
+                             ids=ORTHONORMALIZE_IDS)
+    def test_same_transform_where_the_search_succeeds(self, field):
+        degrees = set()
+        for f in random_nonsingular_forms(field, {1: 8, 2: 6, 3: 3, 4: 1}):
+            ref = reference_orthonormalize(f)
+            if ref is None:
+                continue
+            cert = classify.orthonormalize_nonsingular(f)
+            assert cert.verified
+            assert (cert.transform, cert.extension_degree) == ref
+            degrees.add(ref[1])
+        assert 1 in degrees and max(degrees) > 1
+
+    @pytest.mark.parametrize("field", ORTHONORMALIZE_FIELDS,
+                             ids=ORTHONORMALIZE_IDS)
+    def test_extension_degree_is_the_least_spanning_one(self, field):
+        for f in random_nonsingular_forms(field, {1: 6, 2: 3, 3: 1, 4: 1}):
+            try:
+                r0 = classify._extension_degree(f)
+            except CostGuardError:
+                r0 = None
+            for r in range(1, 13):
+                if r0 is not None and r > r0:
+                    break
+                try:
+                    spans = hermitian_space(f, r).d == f.n
+                except CostGuardError:
+                    break
+                assert spans == (r == r0)

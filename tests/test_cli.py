@@ -39,6 +39,15 @@ def rational_path(tmp_path):
     return str(path)
 
 
+def diagonal_gf4_file(tmp_path, n, entry):
+    """A GF(4) matrix file of entry times the n-by-n identity."""
+    rows = "\n".join(" ".join(entry if i == j else "0" for j in range(n))
+                     for i in range(n))
+    path = tmp_path / "diagonal.txt"
+    path.write_text(f"field: 2^2 q=2 mod=[1,1,1]\nn: {n}\n{rows}\n")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -192,17 +201,33 @@ class TestNormalFormCommand:
                            "--allow-extension")
         data = json.loads(out)
         assert code == 0 and data["verified"] and data["extension_degree"] == 3
+        # the order of M over GF(16) with q = 4 is 5, past the old search
+        path.write_text("field: 2^4 q=4\nn: 1\nz^3\n")
+        code, out, _ = run(capsys, "normal-form", str(path))
+        assert code == 0
+        assert out == '{\n  "needs_extension": 5,\n  "verified": false\n}\n'
 
     def test_extension_guard(self, capsys, tmp_path):
-        # GF(4) extended by 128 needs a default modulus of degree 256
-        path = tmp_path / "one.txt"
-        path.write_text("field: 2^2 q=2 mod=[1,1,1]\nn: 1\n1\n")
-        start = time.process_time()
-        code, out, err = run(capsys, "hermitian", str(path), "--ext", "128")
-        assert time.process_time() - start < 1.0
-        assert code == 3 and out == "" and "degree 256" in err
-        code, out, _ = run(capsys, "hermitian", str(path), "--ext", "32")
-        assert code == 0 and json.loads(out)["r"] == 32
+        # M has order past 25 over GF(25): its degree-26 extension needs a
+        # default modulus of degree 52, past the search guard
+        path = tmp_path / "order.txt"
+        path.write_text("field: 5^2 q=5\nn: 2\nz+4 2*z+3\n0 z+3\n")
+        for extra in ([], ["--allow-extension"]):
+            start = time.process_time()
+            code, out, err = run(capsys, "normal-form", str(path), *extra)
+            assert time.process_time() - start < 1.0
+            assert code == 3 and out == "" and "degree 52" in err
+
+    def test_hermitian_system_guard(self, capsys, tmp_path):
+        # z times the 64x64 identity over GF(4) has M = z, of order 3; its
+        # Hermitian system over the cubic extension has 384 columns
+        path = diagonal_gf4_file(tmp_path, 64, "z")
+        for extra in ([], ["--allow-extension"]):
+            start = time.process_time()
+            code, out, err = run(capsys, "normal-form", str(path), *extra)
+            assert time.process_time() - start < 1.0
+            assert code == 3 and out == ""
+            assert "384 columns" in err and "<= 256" in err
 
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
@@ -291,6 +316,16 @@ class TestHermitianCommand:
         assert code == 3 and out == "" and "degree 256" in err
         code, out, _ = run(capsys, "hermitian", str(path), "--ext", "32")
         assert code == 0 and json.loads(out)["r"] == 32
+
+    def test_system_size_guard(self, capsys, tmp_path):
+        # a 100x100 GF(4) form over the degree-32 extension is a GF(p)
+        # system of 6,400 columns
+        path = diagonal_gf4_file(tmp_path, 100, "1")
+        start = time.process_time()
+        code, out, err = run(capsys, "hermitian", str(path), "--ext", "32")
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == ""
+        assert "6400 columns" in err and "<= 256" in err
 
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
