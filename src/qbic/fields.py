@@ -1179,13 +1179,13 @@ def _check_modulus_search(p, k, what):
 class Embedding:
     """A field embedding GF(p^j) -> GF(p^k) given by the image of z."""
 
-    __slots__ = ("src", "dst", "gen_image", "_matrix")
+    __slots__ = ("src", "dst", "gen_image", "_preimages")
 
     def __init__(self, src, dst, gen_image):
         self.src = src
         self.dst = dst
         self.gen_image = gen_image  # int encoding in dst
-        self._matrix = None
+        self._preimages = None
 
     def apply(self, x):
         if x.field != self.src:
@@ -1199,32 +1199,18 @@ class Embedding:
             w = D._fmul(w, self.gen_image)
         return D._make(acc)
 
-    def _build_matrix(self):
-        # columns: dst GF(p)-coordinates of gen_image^i, i < src.k
-        D, S = self.dst, self.src
-        cols = []
-        w = 1
-        for _ in range(S.k):
-            dig = D._decode(w)
-            cols.append([dig[r] if r < len(dig) else 0 for r in range(D.k)])
-            w = D._fmul(w, self.gen_image)
-        self._matrix = cols
-
     def preimage(self, y):
         """Inverse on the image subfield; None if y is not in the image."""
-        from .linalg import _gfp_solve
         if y.field != self.dst:
             raise ValueError("element not in the target field")
-        if self._matrix is None:
-            self._build_matrix()
-        D, S = self.dst, self.src
-        p = D.p
-        dig = D._decode(y.val)
-        target = [dig[r] if r < len(dig) else 0 for r in range(D.k)]
-        sol = _gfp_solve(self._matrix, target, p, D.k)
-        if sol is None:
-            return None
-        return S._make(S._encode(sol))
+        if self.src is self.dst:
+            return y
+        if self._preimages is None:
+            # embed refuses a proper subfield above _ROOT_SEARCH_CAP
+            # elements, which bounds this table
+            self._preimages = {self.apply(x).val: x
+                               for x in self.src.elements()}
+        return self._preimages.get(y.val)
 
 
 @lru_cache(maxsize=None)

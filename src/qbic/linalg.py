@@ -312,12 +312,6 @@ def _gfp_pivots(cols, p, nrows):
     return _eliminate(rows, len(cols), _gfp_ops(p))
 
 
-def _gfp_solve(cols, target, p, nrows):
-    """Solve sum x_j cols[j] = target over GF(p); None if inconsistent."""
-    aug = [[col[r] for col in cols] + [target[r] % p] for r in range(nrows)]
-    return _solve_rows(aug, len(cols), _gfp_ops(p))
-
-
 def rank(M):
     return len(_eliminate([list(r) for r in M._e], M.ncols, _ops(M.field)))
 

@@ -178,9 +178,9 @@ class TestPeelByElimination:
         calls = []
         real = classify._choose_matching
 
-        def recording(field, X, D, B, target, b):
-            Y = real(field, X, D, B, target, b)
-            calls.append((field, X, D, B, target, b, Y))
+        def recording(X, D, B, target, b):
+            Y = real(X, D, B, target, b)
+            calls.append((B.field, X, D, B, target, b, Y))
             return Y
 
         monkeypatch.setattr(classify, "_choose_matching", recording)

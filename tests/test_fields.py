@@ -849,6 +849,20 @@ class TestExtensions:
         # z generates GF(4^3), so it lies in no proper subfield
         assert e.preimage(K.gen()) is None
 
+    @pytest.mark.parametrize("src, r", [(GF4, 3), (GF9, 2), (GF16, 2)])
+    def test_preimage_inverts_apply(self, src, r):
+        K = extension_field(src, r)
+        e = embed(src, K)
+        for x in src.elements():
+            assert e.preimage(e.apply(x)) == x
+        # z generates K over GF(p), so it lies in no proper subfield
+        assert e.preimage(K.gen()) is None
+
+    def test_preimage_of_the_identity_embedding(self):
+        e = embed(GF256, GF256)
+        for x in GF256.elements():
+            assert e.preimage(e.apply(x)) == x
+
     def test_embedding_deterministic(self):
         K = extension_field(GF4, 2)
         assert embed(GF4, K) is embed(GF4, K)
