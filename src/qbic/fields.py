@@ -236,8 +236,9 @@ class FieldDescriptor:
     Every descriptor does its arithmetic on raw scalars through the same
     methods -- _fadd, _fneg, _fmul, _axpy (a row update in place),
     _finv, _fpow, _frob (a -> a^n for n = q^i, which the caller computes
-    once), _root (the q-th root, None when there is none), _str -- and
-    zero is the only false scalar.
+    once), _root (the q-th root, None when there is none), _str, and
+    _parse_scalar (a literal read straight to its scalar) -- and zero is
+    the only false scalar.
     Finite fields above TABLE_CAP use the polynomial arithmetic here,
     smaller ones are _ZechField, and GF(p^k)(t) is _RationalField.
     """
@@ -375,8 +376,12 @@ class FieldDescriptor:
     def random_element(self, rng):
         return self._make(rng.randrange(self.order))
 
+    def _parse_scalar(self, text):
+        """The scalar of the element literal text."""
+        return _parse_element(self, text).val
+
     def parse(self, text):
-        return _parse_element(self, text)
+        return self._make(self._parse_scalar(text))
 
 
 class _ZechField(FieldDescriptor):
@@ -397,7 +402,7 @@ class _ZechField(FieldDescriptor):
     mod p, looked up half by half in a table of order entries.
     """
 
-    __slots__ = ("_exp", "_log", "_zech", "_half", "_names")
+    __slots__ = ("_exp", "_log", "_zech", "_half", "_names", "_by_name")
 
     def __init__(self, p, e, k, modulus, kind):
         super().__init__(p, e, k, modulus, kind)
@@ -439,6 +444,7 @@ class _ZechField(FieldDescriptor):
         self._zech = list(map(up.__getitem__, exp))
         self._half = n1 // 2
         self._names = {}
+        self._by_name = {}
 
     def _fadd(self, a, b):
         if self.p == 2:
@@ -494,6 +500,16 @@ class _ZechField(FieldDescriptor):
         if name is None:
             name = self._names[a] = _fin_str(self, a)
         return name
+
+    def _parse_scalar(self, text):
+        # a literal spelled as _str prints it is one lookup; only such
+        # canonical names enter the table, so it holds at most order entries
+        v = self._by_name.get(text)
+        if v is None:
+            v = super()._parse_scalar(text)
+            if self._str(v) == text:
+                self._by_name[text] = v
+        return v
 
 
 def _digit_sums(p, n):

@@ -604,6 +604,8 @@ def parse_matrix_file(text):
         raise ValueError("dimension in 'n:' header must be positive")
     if len(lines) != 2 + n:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
+    # each distinct literal is parsed once, straight to its stored scalar
+    parse, seen = field._parse_scalar, {}
     rows = []
     for li, ln in enumerate(lines[2:]):
         toks = ln.split()
@@ -612,10 +614,13 @@ def parse_matrix_file(text):
                              f"found {len(toks)}")
         row = []
         for ti, tok in enumerate(toks):
-            try:
-                row.append(field.parse(tok))
-            except ValueError as ex:
-                raise ValueError(
-                    f"row {li + 1}, entry {ti + 1}: {ex}") from None
-        rows.append(row)
-    return field, MatrixF(field, rows)
+            v = seen.get(tok)
+            if v is None:
+                try:
+                    v = seen[tok] = parse(tok)
+                except ValueError as ex:
+                    raise ValueError(
+                        f"row {li + 1}, entry {ti + 1}: {ex}") from None
+            row.append(v)
+        rows.append(tuple(row))
+    return field, _mat(field, tuple(rows), n)

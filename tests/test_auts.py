@@ -125,6 +125,27 @@ class TestDimensionFormulas:
                                + sum(phi(t, m) * s.b_m(m) for m in s.b))
                         assert lhs == rhs
 
+    def test_mass_identity(self):
+        # the automorphism group of a form of type t over GF(Q) with split
+        # residue has order Q^(group_dim - sum b_m^2) prod |GL_{b_m}(Q)| |U_a|;
+        # summed over the classes of U_a, the forms of type t number
+        # N(t) = |GL_n(Q)| / (Q^(group_dim - sum b_m^2) prod |GL_{b_m}(Q)|),
+        # and every Gram matrix has one type.  Changing group_dim at any
+        # one type breaks the sum.
+        for n in range(1, 13):
+            types = enumerate_types(n)
+            for Q in (4, 9, 16, 25, 64):
+                total = 0
+                for t in types:
+                    den = Q ** (group_dim(t)
+                                - sum(b * b for b in t.b.values()))
+                    for b in t.b.values():
+                        den *= general_linear_order(Q, b)
+                    count, rest = divmod(general_linear_order(Q, n), den)
+                    assert rest == 0, (n, Q, str(t))
+                    total += count
+                assert total == Q ** (n * n), (n, Q)
+
 
 class TestPointEnumeration:
     def test_unitary_counts(self):

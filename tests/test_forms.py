@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         rank_corank, type_of, type_report)
 from qbic.classify import jordan_gram, standard_gram
 from qbic.linalg import (MatrixF, Subspace, descent_test, intersect,
-                         left_orthogonal, twist_matrix, twist_subspace,
+                         left_orthogonal, rank, twist_matrix, twist_subspace,
                          twisted_congruence)
 from qbic.moduli import enumerate_types
 
@@ -205,14 +207,18 @@ class TestType:
                            st.sampled_from(["", " "])),
                  max_size=5).map("+".join)))
     def test_type_strings_raise_only_value_or_guard_errors(self, text):
+        # a generous CPU bound, so a hanging kernel fails instead of stalling
+        start = time.process_time()
         try:
             t = parse_type(text)
         except (ValueError, CostGuardError):
-            return
-        if t.n:
-            assert parse_type(str(t)) == t
+            pass
         else:
-            assert str(t) == "(empty)"
+            if t.n:
+                assert parse_type(str(t)) == t
+            else:
+                assert str(t) == "(empty)"
+        assert time.process_time() - start < 2.0
 
 
 class TestDescentIndex:
@@ -313,6 +319,33 @@ class TestHermitian:
         f3 = QBicForm(GF4, jordan_gram(GF4, 3))
         for r in range(1, 4):
             assert hermitian_space(f3, r).point_count == 4 ** r
+
+    @pytest.mark.parametrize("p,e,k", [(2, 1, 2), (3, 1, 2), (2, 1, 4),
+                                       (2, 2, 4), (5, 1, 2)])
+    def test_dimension_is_the_fixed_space_of_lang_matrix(self, p, e, k):
+        # Hermitian vectors are the fixed points of v -> A v^sigma, with
+        # A = B^-1 transpose(B^[1]) and sigma the q^2-power Frobenius; over
+        # the degree-r extension they span the fixed space of M^r, where
+        # M = A A^sigma ... A^(sigma^(s-1)) and s = [k : F_{q^2}] (s = 2
+        # for GF(16) with q = 2, else 1)
+        field = field_make(p, e, k)
+        one = field.one()
+        rng = rng_for(f"hermitian-lang-{p}-{e}-{k}")
+        for n in range(1, 4):
+            for _ in range(4):
+                B = random_invertible(field, n, rng)
+                A = B.inverse() @ twist_matrix(B, 1).transpose()
+                M = A
+                for i in range(1, k // (2 * e)):
+                    M = M @ twist_matrix(A, 2 * i)
+                power = MatrixF.identity(field, n)
+                for r in range(1, 4):
+                    power = power @ M
+                    moved = MatrixF(field, [
+                        [x - one if i == j else x for j, x in enumerate(row)]
+                        for i, row in enumerate(power.rows)])
+                    h = hermitian_space(QBicForm(field, B), r)
+                    assert h.d == n - rank(moved)
 
     def test_hermitian_gram_is_hermitian(self):
         f = QBicForm(GF4, MatrixF.identity(GF4, 2))

@@ -7,7 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbic import CostGuardError
+from conftest import rng_for
+from qbic import CostGuardError, fields
 from qbic.cli import main
 
 from qbic.fields import field_make, frobenius, lift_constant, qth_root
@@ -21,6 +22,7 @@ GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
 GF25 = field_make(5, 1, 2)
 GF256 = field_make(2, 4, 8)
+GF16 = field_make(2, 1, 4)
 GF2_18 = field_make(2, 1, 18)  # above TABLE_CAP: polynomial arithmetic
 RF4 = field_make(2, 1, 2, kind="rational-function")
 
@@ -251,6 +253,115 @@ class TestMatrixFiles:
                 code = main(["type", path])
         assert code in ((0,) if parsed else (2, 3))
         assert time.process_time() - start < 2.0
+
+
+def _ref_parse_matrix_file(text):
+    """The element-by-element reference for parse_matrix_file: every entry
+    through field.parse, as FieldElements, into the public constructor."""
+    from qbic.fields import parse_field_spec
+
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if len(lines) < 2 or not lines[0].startswith("field:"):
+        raise ValueError("missing 'field:' header line")
+    field = parse_field_spec(lines[0][len("field:"):].strip())
+    if not lines[1].startswith("n:"):
+        raise ValueError("missing 'n:' header line")
+    try:
+        n = int(lines[1][len("n:"):].strip())
+    except ValueError:
+        raise ValueError("bad dimension in 'n:' header") from None
+    if n < 1:
+        raise ValueError("dimension in 'n:' header must be positive")
+    if len(lines) != 2 + n:
+        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
+    rows = []
+    for li, ln in enumerate(lines[2:]):
+        toks = ln.split()
+        if len(toks) != n:
+            raise ValueError(f"row {li + 1}: expected {n} entries, "
+                             f"found {len(toks)}")
+        row = []
+        for ti, tok in enumerate(toks):
+            try:
+                row.append(field.parse(tok))
+            except ValueError as ex:
+                raise ValueError(
+                    f"row {li + 1}, entry {ti + 1}: {ex}") from None
+        rows.append(row)
+    return field, MatrixF(field, rows)
+
+
+def _parse_outcome(parse, text):
+    try:
+        field, M = parse(text)
+    except (ValueError, CostGuardError) as ex:
+        return type(ex), str(ex)
+    return field, M
+
+
+# spellings of elements that are not their printed name, and literals that
+# are refused, on every field below
+_OTHER_LITERALS = ["z^4", "7", "(z+1)", "z*z", "-1", "z^2+1", "t",
+                   "(z+t)/t", "t^2*z", "1/0", "!", "(", "t^1025"]
+
+
+@st.composite
+def literal_files(draw):
+    F = draw(st.sampled_from([GF4, GF9, GF16, GF25, GF2_18, RF4]))
+    printed = st.integers(0, F.finite_part.order - 1).map(
+        lambda v: str(F._make(F._const(v))))
+    # a small pool, so literals repeat within the file
+    pool = draw(st.lists(printed | st.sampled_from(_OTHER_LITERALS),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(1, 4))
+    rows = [" ".join(draw(st.sampled_from(pool)) for _ in range(n))
+            for _ in range(n)]
+    return "\n".join([f"field: {F.spec_string()}", f"n: {n}", *rows]) + "\n"
+
+
+class TestParseOncePerFile:
+    @settings(max_examples=300, deadline=None)
+    @given(literal_files())
+    def test_matches_the_element_by_element_parse(self, text):
+        assert (_parse_outcome(parse_matrix_file, text)
+                == _parse_outcome(_ref_parse_matrix_file, text))
+        for F in (GF4, GF9, GF16, GF25, RF4.finite_part):
+            assert len(F._by_name) <= F.order
+            assert all(F._str(v) == name for name, v in F._by_name.items())
+
+    @pytest.mark.parametrize("F,text", [(GF16, "z^4"), (GF25, "7"),
+                                        (GF4, "(z+1)"), (GF9, "z*z"),
+                                        (GF4, " z"), (GF9, "-1")])
+    def test_only_printed_names_enter_the_table(self, F, text):
+        x = F.parse(text)
+        _, M = parse_matrix_file(f"field: {F.spec_string()}\nn: 1\n"
+                                     f"{text.strip()}\n")
+        assert M[0, 0] == x
+        assert text not in F._by_name
+        assert F.parse(str(x)) == x and F._by_name[str(x)] == x.val
+        assert len(F._by_name) <= F.order
+
+    def test_a_refused_literal_is_not_kept(self):
+        with pytest.raises(ValueError, match="row 2, entry 1"):
+            parse_matrix_file(f"field: {GF16.spec_string()}\nn: 2\n"
+                              "z z\nz^ z\n")
+        assert "z^" not in GF16._by_name
+
+    def test_a_second_parse_of_a_file_parses_no_literal(self, monkeypatch):
+        rng = rng_for("parse-once")
+        text = format_matrix_file(MatrixF(GF16, [
+            [GF16.random_element(rng) for _ in range(5)] for _ in range(5)]))
+        _, first = parse_matrix_file(text)
+        calls = []
+        real = fields._parse_element
+
+        def counted(field, literal):
+            calls.append(literal)
+            return real(field, literal)
+
+        monkeypatch.setattr(fields, "_parse_element", counted)
+        _, second = parse_matrix_file(text)
+        assert calls == [] and second == first
 
 
 # ---------------------------------------------------------------------------
