@@ -306,11 +306,13 @@ class FieldDescriptor:
         return R.unpack(R.mul(R.pack(a), R.pack(b)))
 
     def _axpy(self, acc, k, c, v):
-        """acc[k + j] += c*v[j] for every nonzero v[j], in place: the inner
-        loop of GF(q)(t)'s polynomial products and divisions."""
+        """acc[k + j] += c*v[j] for every nonzero v[j], in place: the row
+        update of every matrix product and elimination, and the inner loop
+        of GF(q)(t)'s polynomial products and divisions."""
+        add, mul = self._fadd, self._fmul
         for j, x in enumerate(v, k):
             if x:
-                acc[j] = self._fadd(acc[j], self._fmul(c, x))
+                acc[j] = add(acc[j], mul(c, x))
 
     def _finv(self, a):
         if a == 0:
@@ -473,16 +475,30 @@ class _ZechField(FieldDescriptor):
         return 0
 
     def _axpy(self, acc, k, c, v):
-        if self.p != 2:
-            return super()._axpy(acc, k, c, v)
         if not c:
             return
+        # the tables read once per call
         exp, log = self._exp, self._log
         lc = log[c]
-        # the tables read once per call, and a sum is an xor
+        if self.p == 2:
+            # a sum is an xor
+            for j, x in enumerate(v, k):
+                if x:
+                    acc[j] ^= exp[lc + log[x]]
+            return
+        # _fadd inlined; log(c*x) is reduced below order-1 first, since the
+        # difference with log acc[j] must index zech from either end
+        zech, n1 = self._zech, self.order - 1
         for j, x in enumerate(v, k):
             if x:
-                acc[j] ^= exp[lc + log[x]]
+                lb = (lc + log[x]) % n1
+                a = acc[j]
+                if a:
+                    la = log[a]
+                    z = zech[lb - la]
+                    acc[j] = 0 if z is None else exp[la + z]
+                else:
+                    acc[j] = exp[lb]
 
     def _finv(self, a):
         if a == 0:

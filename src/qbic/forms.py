@@ -382,7 +382,9 @@ def _flatten_ext_vector(K, vec):
 
 
 # hermitian_space solves a GF(p) system with n k r columns over
-# GF(p^(k r)); past this bound a solve takes over a second
+# GF(p^(k r)); past this bound a solve takes over a second.  Over GF(4)
+# with r = 32 on one shared CPU: 0.5-0.7 s at 256 columns (n = 4) and
+# 1.2 s at 320 (n = 5)
 _HERMITIAN_COLUMN_CAP = 256
 
 

@@ -117,9 +117,9 @@ class MatrixF:
         F = self.field
         if other.field is not F:
             raise ValueError("field mismatch")
-        cols, ops = _transposed(other._e, other.ncols), _ops(F)
-        return _mat(F, tuple(_dot_rows(r, cols, ops) for r in self._e),
-                    other.ncols)
+        rows, n, ops = other._e, other.ncols, _ops(F)
+        return _mat(F, tuple(tuple(_comb(r, rows, n, ops)) for r in self._e),
+                    n)
 
     def __neg__(self):
         neg = _ops(self.field).neg
@@ -128,8 +128,12 @@ class MatrixF:
 
     def apply(self, vec):
         """Matrix times a column vector given as a list of elements."""
+        if len(vec) != self.ncols:
+            raise ValueError("dimension mismatch")
         F = self.field
-        return _elements(F, _dot_rows(_scalars(F, vec), self._e, _ops(F)))
+        return _elements(F, _comb(_scalars(F, vec),
+                                  _transposed(self._e, self.ncols),
+                                  self.nrows, _ops(F)))
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -196,21 +200,28 @@ def _transposed(e, ncols):
 # plain ints mod p.  Zero must be the only false scalar: the loops below
 # skip zero products and choose pivots by truth.
 
-_Ops = namedtuple("_Ops", "inv mul add neg zero one make")
+_Ops = namedtuple("_Ops", "inv neg axpy zero one make")
 
 
 @functools.cache
 def _ops(F):
-    """The scalar ops of field F, built once per descriptor.  `make`
+    """The scalar ops of field F, built once per descriptor.  `axpy` is
+    the field's row update (fields.FieldDescriptor._axpy), and `make`
     wraps a scalar as a FieldElement."""
-    return _Ops(F._finv, F._fmul, F._fadd, F._fneg, F.zero().val,
-                F.one().val, functools.partial(FieldElement, F))
+    return _Ops(F._finv, F._fneg, F._axpy, F.zero().val, F.one().val,
+                functools.partial(FieldElement, F))
 
 
 @functools.cache
 def _gfp_ops(p):
-    return _Ops(lambda a: pow(a, p - 2, p), lambda a, b: a * b % p,
-                lambda a, b: (a + b) % p, lambda a: -a % p, 0, 1, None)
+    """The ops of GF(p) on plain ints; a row update makes no Python call
+    per entry."""
+    def axpy(acc, k, c, v):
+        for j, x in enumerate(v, k):
+            if x:
+                acc[j] = (acc[j] + c * x) % p
+    return _Ops(lambda a: pow(a, p - 2, p), lambda a: -a % p, axpy, 0, 1,
+                None)
 
 
 def _scalars(F, vec):
@@ -226,17 +237,15 @@ def _elements(F, vals):
     return list(map(_ops(F).make, vals))
 
 
-def _dot_rows(row, cols, ops):
-    """The dot products of one row with each column, as a tuple."""
-    mul, add = ops.mul, ops.add
-    out = []
-    for c in cols:
-        acc = ops.zero
-        for a, b in zip(row, c):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
+def _comb(coeffs, rows, ncols, ops):
+    """The sum of coeffs[k]*rows[k], a list of ncols scalars: one row
+    update per nonzero coefficient."""
+    out = [ops.zero] * ncols
+    axpy = ops.axpy
+    for c, row in zip(coeffs, rows):
+        if c:
+            axpy(out, 0, c, row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +253,11 @@ def _dot_rows(row, cols, ops):
 
 
 def _eliminate(rows, ncols, ops):
-    """Reduce the list of rows in place to reduced row echelon form in
-    their first ncols columns and return the pivot columns.  The pivot of
-    a column is its first nonzero entry in row order."""
-    inv, mul, add, neg = ops.inv, ops.mul, ops.add, ops.neg
+    """Reduce the list of rows, mutable lists of scalars, in place to
+    reduced row echelon form in their first ncols columns and return the
+    pivot columns.  The pivot of a column is its first nonzero entry in
+    row order.  Every row update is one ops.axpy."""
+    inv, neg, axpy, zero = ops.inv, ops.neg, ops.axpy, ops.zero
     nrows = len(rows)
     pivots = []
     r = 0
@@ -255,15 +265,13 @@ def _eliminate(rows, ncols, ops):
         sel = next((i for i in range(r, nrows) if rows[i][c]), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        s = inv(rows[r][c])
-        prow = rows[r] = [mul(s, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = neg(rows[i][c])
-                # a zero of the pivot row leaves the entry as it is
-                rows[i] = [add(a, mul(f, b)) if b else a
-                           for a, b in zip(rows[i], prow)]
+        piv = rows[sel]
+        rows[sel] = rows[r]
+        prow = rows[r] = [zero] * len(piv)
+        axpy(prow, 0, inv(piv[c]), piv)
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                axpy(row, 0, neg(row[c]), prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -369,6 +377,8 @@ class Subspace:
     @staticmethod
     def from_columns(field, n, cols):
         """Span of the given column vectors (lists of elements)."""
+        if any(len(c) != n for c in cols):
+            raise ValueError("dimension mismatch")
         return _span(field, n, [list(_scalars(field, c)) for c in cols])
 
     @staticmethod
@@ -426,14 +436,9 @@ def subspace_vectors(S):
     if F.kind != "finite":
         raise ValueError("cannot enumerate a rational function field")
     ops = _ops(F)
-    mul, add = ops.mul, ops.add
     vecs = _vectors(S)
     for coeffs in itertools.product(range(F.order), repeat=len(vecs)):
-        vec = [0] * S.n
-        for c, col in zip(coeffs, vecs):
-            if c:
-                vec = [add(a, mul(c, b)) for a, b in zip(vec, col)]
-        yield _elements(F, vec)
+        yield _elements(F, _comb(coeffs, vecs, S.n, ops))
 
 
 def subspace_sum(S1, S2):
@@ -517,11 +522,13 @@ def twist_subspace(S, i):
 
 def pairing(B, u, v):
     """beta(u, v) = transpose(u^[1]) . B . v."""
+    if len(u) != B.nrows or len(v) != B.ncols:
+        raise ValueError("dimension mismatch")
     F = B.field
     ops = _ops(F)
-    u1 = tuple([F._frob(a, F.q) for a in _scalars(F, u)])
-    Bv = _dot_rows(_scalars(F, v), B._e, ops)
-    return FieldElement(F, _dot_rows(u1, (Bv,), ops)[0])
+    u1 = [F._frob(a, F.q) for a in _scalars(F, u)]
+    Bv = _comb(_scalars(F, v), _transposed(B._e, B.ncols), B.nrows, ops)
+    return FieldElement(F, _comb(u1, [(x,) for x in Bv], 1, ops)[0])
 
 
 def twisted_congruence(B, A):
@@ -540,9 +547,9 @@ def left_orthogonal(B, S):
         raise ValueError("dimension mismatch")
     if S.dim == 0:
         return Subspace.full(B.field, B.nrows)
-    ops = _ops(B.field)
+    ops, cols = _ops(B.field), _transposed(B._e, B.ncols)
     return _null_space(B.field, B.nrows,
-                       [_dot_rows(s, B._e, ops) for s in _vectors(S)])
+                       [_comb(s, cols, B.nrows, ops) for s in _vectors(S)])
 
 
 def right_orthogonal(B, T):
@@ -553,9 +560,8 @@ def right_orthogonal(B, T):
     if T.dim == 0:
         return Subspace.full(B.field, B.ncols)
     ops = _ops(B.field)
-    cols = _transposed(B._e, B.ncols)
     return _null_space(B.field, B.ncols,
-                       [_dot_rows(t, cols, ops) for t in _vectors(T)])
+                       [_comb(t, B._e, B.ncols, ops) for t in _vectors(T)])
 
 
 def descent_test(S):

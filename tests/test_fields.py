@@ -500,7 +500,7 @@ def scalars_of(F):
     return st.integers(0, F.order - 1)
 
 
-# the p = 2 table kernel, then the add/mul loop for odd p and above
+# the table kernels for p = 2 and odd p, then the add/mul loop above
 # TABLE_CAP: the coefficient fields of GF(q)(t)
 COEFFICIENT_FIELDS = [GF4, GF9, GF25, GF2_18, GF257_2]
 
@@ -509,10 +509,11 @@ class TestPolynomialKernels:
     """_axpy on every scalar core, and the polynomial loops built on it over
     every finite one."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_axpy_is_the_add_mul_loop(self, data):
-        F = data.draw(st.sampled_from(COEFFICIENT_FIELDS + [RF4]))
+        F = data.draw(st.sampled_from(COEFFICIENT_FIELDS
+                                      + [GF256, GF81, RF4]))
         x = scalars_of(F)
         k = data.draw(st.integers(0, 3))
         v = data.draw(st.lists(x, max_size=5))
@@ -527,6 +528,25 @@ class TestPolynomialKernels:
         assert got == want
         end = k + len(v)
         assert got[:k] == acc[:k] and got[end:] == acc[end:]
+
+    @pytest.mark.parametrize("F", [GF9, GF25], ids=["gf9", "gf25"])
+    def test_odd_p_axpy_on_every_triple(self, F):
+        """Every (acc, c, x) over GF(9) and GF(25): the sums whose log c +
+        log x passes order - 1 onto a nonzero acc, and those that cancel to
+        0, are among them."""
+        n1, log = F.order - 1, F._log
+        wrapped = cancelled = 0
+        v = list(range(F.order))
+        for c in range(F.order):
+            for a in range(F.order):
+                want = [F._fadd(a, F._fmul(c, x)) for x in v]
+                got = [a] * F.order
+                F._axpy(got, 0, c, v)
+                assert got == want
+                if c and a:
+                    wrapped += sum(log[c] + log[x] >= n1 for x in v[1:])
+                    cancelled += want.count(0)
+        assert wrapped and cancelled == n1 * n1
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 import time
@@ -12,11 +13,13 @@ from qbic import CostGuardError, fields
 from qbic.cli import main
 
 from qbic.fields import field_make, frobenius, lift_constant, qth_root
-from qbic.linalg import (MatrixF, Subspace, complement, descent_test, image,
-                         intersect, kernel, left_orthogonal,
+from qbic.linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_ops,
+                         _gfp_pivots, complement, descent_test, image,
+                         intersect, kernel, left_orthogonal, pairing,
                          parse_matrix_file, format_matrix_file, quotient_dim,
                          rank, right_orthogonal, solve, subspace_sum,
-                         twist_matrix, twist_subspace, twisted_congruence)
+                         subspace_vectors, twist_matrix, twist_subspace,
+                         twisted_congruence)
 
 GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
@@ -89,6 +92,35 @@ class TestMatrixBasics:
         assert kernel(A).dim == 3                # no constraints
         S = Subspace.zero(GF4, 3)
         assert S.basis.ncols == 0 and S.basis.nrows == 3
+
+
+class TestDimensionChecks:
+    """A vector or column of the wrong length is refused, not truncated."""
+
+    def test_apply(self):
+        A = MatrixF.from_int_rows(GF4, [[1, 0, 1], [0, 1, 1]])
+        one = GF4.one()
+        assert A.apply([one] * 3) == [GF4.zero()] * 2
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                A.apply([one] * n)
+
+    def test_pairing(self):
+        B, one = MatrixF.identity(GF4, 2), GF4.one()
+        assert pairing(B, [one, one], [one, one]) == GF4.zero()
+        for u, v in (([one], [one, one]), ([one, one], [one] * 3),
+                     ([one] * 3, [one, one]), ([one, one], [])):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pairing(B, u, v)
+
+    def test_from_columns_and_contains_vector(self):
+        S, one = Subspace.full(GF4, 2), GF4.one()
+        assert S.contains_vector([one, one])
+        for vec in ([one], [one] * 3, []):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                S.contains_vector(vec)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Subspace.from_columns(GF4, 2, [[one, one], [one]])
 
 
 class TestScalarPaths:
@@ -593,6 +625,65 @@ class TestAgainstReference:
         assert [[A[i, j] for j in range(A.ncols)]
                 for i in range(A.nrows)] == as_lists(A)
 
+    @ladder
+    @examples
+    @given(data=st.data())
+    def test_apply_pairing_and_orthogonals(self, field, data):
+        A = data.draw(matrix_over(field))
+        v = [data.draw(element(field)) for _ in range(A.ncols)]
+        assert A.apply(v) == [r[0] for r in ref_matmul(
+            field, as_lists(A), [[x] for x in v], 1)]
+        n = data.draw(st.integers(0, 4))
+        B = data.draw(matrix_over(field, n=n, m=n))
+        u = [data.draw(element(field)) for _ in range(n)]
+        v = [data.draw(element(field)) for _ in range(n)]
+        Bv = ref_matmul(field, as_lists(B), [[x] for x in v], 1)
+        assert pairing(B, u, v) == ref_matmul(
+            field, [[frobenius(x, 1) for x in u]], Bv, 1)[0][0]
+        S = span_of(data.draw(matrix_over(field, n=n)))
+        # {w : w^T B s = 0}: the kernel of the rows (B s)^T
+        rows = [[r[0] for r in ref_matmul(field, as_lists(B),
+                                          [[x] for x in s], 1)]
+                for s in S.basis.columns()]
+        assert left_orthogonal(B, S).basis.columns() == \
+            ref_kernel(field, rows, n)
+        # {v : s^T B v = 0}: the kernel of the rows s^T B
+        rows = [ref_matmul(field, [s], as_lists(B), n)[0]
+                for s in S.basis.columns()]
+        assert right_orthogonal(B, S).basis.columns() == \
+            ref_kernel(field, rows, n)
+
+    @pytest.mark.parametrize("field", [GF4, GF9], ids=["gf4", "gf9"])
+    @examples
+    @given(data=st.data())
+    def test_subspace_vectors_order(self, field, data):
+        """The coefficient tuples on the echelon basis run through
+        itertools.product over the encodings: enumerate_points samples
+        depend on this order."""
+        S = span_of(data.draw(matrix_over(field, n=data.draw(
+            st.integers(0, 3)), m=2)))
+        cols = S.basis.columns()
+        want = []
+        for coeffs in itertools.product(range(field.order), repeat=S.dim):
+            vec = [field.zero()] * S.n
+            for c, col in zip(coeffs, cols):
+                vec = [a + field._make(c) * b for a, b in zip(vec, col)]
+            want.append(vec)
+        assert list(subspace_vectors(S)) == want
+
+    def test_subspace_vectors_pinned(self):
+        z, one, zero = GF4.gen(), GF4.one(), GF4.zero()
+        S = Subspace.from_columns(GF4, 3, [[one, zero, z], [zero, one, one]])
+        assert [" ".join(map(str, v)) for v in subspace_vectors(S)] == [
+            "0 0 0", "0 1 1", "0 z z", "0 z+1 z+1", "1 0 z", "1 1 z+1",
+            "1 z 0", "1 z+1 1", "z 0 z+1", "z 1 z", "z z 1", "z z+1 0",
+            "z+1 0 1", "z+1 1 0", "z+1 z z+1", "z+1 z+1 z"]
+        z = GF9.gen()
+        S = Subspace.from_columns(GF9, 2, [[GF9.one(), z]])
+        assert [" ".join(map(str, v)) for v in subspace_vectors(S)] == [
+            "0 0", "1 z", "2 2*z", "z 2", "z+1 z+2", "z+2 2*z+2", "2*z 1",
+            "2*z+1 z+1", "2*z+2 2*z+1"]
+
     def test_zero_column_matrices(self):
         for field in LADDER:
             tall = MatrixF(field, [[], [], []])
@@ -615,3 +706,78 @@ class TestAgainstReference:
             MatrixF(GF4, [[GF4.one(), GF9.one()]])
         with pytest.raises(ValueError, match="field mismatch"):
             MatrixF.block_diagonal(GF4, [MatrixF.identity(GF9, 1)])
+
+
+# ---------------------------------------------------------------------------
+# GF(p) systems on plain ints, against a reduction written out here
+
+
+def ref_gfp_rref(rows, ncols, p):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        s = pow(rows[r][c], -1, p)
+        rows[r] = [s * v % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@st.composite
+def gfp_columns(draw, p):
+    """The columns of an nrows x ncols GF(p) matrix X.Y of rank at most an
+    inner dimension of 0 to 4."""
+    nrows, ncols, k = (draw(st.integers(0, 5)) for _ in range(3))
+    el = st.integers(0, p - 1)
+    X = [[draw(el) for _ in range(k)] for _ in range(nrows)]
+    Y = [[draw(el) for _ in range(ncols)] for _ in range(k)]
+    cols = [[sum(X[i][s] * Y[s][j] for s in range(k)) % p
+             for i in range(nrows)] for j in range(ncols)]
+    return nrows, cols
+
+
+class TestGFpSystems:
+    """The int-mod-p row update and the GF(p) kernel and pivots that the
+    Hermitian systems and field embeddings solve."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_axpy_kernel_and_pivots(self, p, data):
+        el = st.integers(0, p - 1)
+        k = data.draw(st.integers(0, 3))
+        v = data.draw(st.lists(el, max_size=5))
+        acc = data.draw(st.lists(el, min_size=k + len(v),
+                                 max_size=k + len(v) + 2))
+        c = data.draw(el)
+        want = list(acc)
+        for j, x in enumerate(v, k):
+            want[j] = (want[j] + c * x) % p
+        _gfp_ops(p).axpy(acc, k, c, v)
+        assert acc == want
+
+        nrows, cols = data.draw(gfp_columns(p))
+        rows = [[col[r] for col in cols] for r in range(nrows)]
+        red, pivots = ref_gfp_rref(rows, len(cols), p)
+        assert _gfp_pivots(cols, p, nrows) == pivots
+        ker = []
+        for fc in range(len(cols)):
+            if fc not in pivots:
+                vec = [0] * len(cols)
+                vec[fc] = 1
+                for pr, pc in enumerate(pivots):
+                    vec[pc] = -red[pr][fc] % p
+                ker.append(vec)
+        assert _gfp_kernel(cols, p, nrows) == ker
+        for vec in ker:
+            assert all(sum(a * x for a, x in zip(row, vec)) % p == 0
+                       for row in rows)
