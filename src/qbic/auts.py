@@ -188,15 +188,16 @@ def lie_points(f):
     return f.field.order ** (f.n * d)
 
 
+def dimensions_report(t):
+    """JSON-ready report on the automorphism group of a form of type t,
+    with no point count."""
+    return {"type": str(t), "lie_dim": lie_dim(t), "group_dim": group_dim(t),
+            "points": None}
+
+
 def aut_report(f, points=False):
     """JSON-ready report on the automorphism group of f."""
-    t = type_of(f)
-    report = {
-        "type": str(t),
-        "lie_dim": lie_dim(t),
-        "group_dim": group_dim(t),
-        "points": None,
-    }
+    report = dimensions_report(type_of(f))
     if points:
         count, _ = enumerate_points(f)
         report["points"] = {"field": f"{f.field.p}^{f.field.k}",

@@ -97,18 +97,9 @@ def _choose_matching(X, D, B, target, b):
 # peeling one block size
 
 
-class PeelResult:
-    __slots__ = ("transform", "block", "rest")
-
-    def __init__(self, transform, block, rest):
-        self.transform = transform
-        self.block = block
-        self.rest = rest
-
-
 def peel(f, m, P=None):
     """Split f = (N_m^(b_m) block) + (orthogonal rest) by an explicit basis
-    change; returns the change of basis together with both summands.
+    change U; returns (U, rest), the block coming first in U's columns.
     P is the perp filtration of f, when the caller already has it."""
     _require_finite(f)
     field, B, n = f.field, f.gram, f.n
@@ -189,7 +180,7 @@ def peel(f, m, P=None):
     restG = G.submatrix(range(m * b, n), range(m * b, n))
     expect = MatrixF.block_diagonal(field, [blockG, restG])
     _check(G == expect, "peeled Gram is not block diagonal")
-    return PeelResult(U, QBicForm(field, blockG), QBicForm(field, restG))
+    return U, QBicForm(field, restG)
 
 
 def _standardize_block(field, B, M, m, b):
@@ -376,12 +367,11 @@ def normal_form(f, allow_extension=True):
         # it needs from _perp_chain(rest) instead recomputes f's pieces in
         # the first peel: a seed-11 normal-form round of the benchmark
         # went from 1,063 to 1,380 right_orthogonal calls.
-        res = peel(rest, m, P if rest is f else None)
+        T, rest = peel(rest, m, P if rest is f else None)
         lift = MatrixF.block_diagonal(
-            field, [MatrixF.identity(field, offset), res.transform])
+            field, [MatrixF.identity(field, offset), T])
         U = U @ lift
         offset += m * t.b[m]
-        rest = res.rest
 
     cert0 = orthonormalize_nonsingular(rest, allow_extension)
     K = cert0.extension_field

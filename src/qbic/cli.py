@@ -22,7 +22,7 @@ from .forms import (QBicForm, hermitian_gram, hermitian_space, parse_type,
                     type_report)
 from .linalg import parse_matrix_file
 from .classify import NeedsExtension, normal_form, standard_gram
-from .auts import aut_report
+from .auts import aut_report, dimensions_report
 from . import moduli as moduli_mod
 
 
@@ -111,10 +111,7 @@ def cmd_aut(args):
     if args.type is not None:
         if args.points:
             raise InputError("--points needs a gram file, not --type")
-        t = _parse_type_arg(args.type)
-        from .auts import group_dim, lie_dim
-        _emit({"type": str(t), "lie_dim": lie_dim(t),
-               "group_dim": group_dim(t), "points": None}, args.output)
+        _emit(dimensions_report(_parse_type_arg(args.type)), args.output)
         return 0
     f = _read_form(args.gram, args.field)
     if args.points:
@@ -206,11 +203,10 @@ def _build_parser():
         prog="qbic", description="Exact classification of q-bic forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, gram=True):
-        if gram:
-            sp.add_argument("gram", help="Gram matrix file")
-            sp.add_argument("--field", help="field spec, e.g. "
-                            "'2^2 q=2 mod=[1,1,1]'")
+    def add_common(sp):
+        sp.add_argument("gram", help="Gram matrix file")
+        sp.add_argument("--field", help="field spec, e.g. "
+                        "'2^2 q=2 mod=[1,1,1]'")
         sp.add_argument("--output", help="write the JSON report here "
                         "instead of stdout")
 

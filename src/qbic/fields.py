@@ -332,7 +332,7 @@ class FieldDescriptor:
         return self._fpow(a, self._root_exp)
 
     def _str(self, a):
-        return _fin_str(self, a)
+        return "+".join(_terms(self._decode(a), "z", str)) if a else "0"
 
     def _const(self, v):
         """The scalar of the constant with finite-part encoding v."""
@@ -363,8 +363,6 @@ class FieldDescriptor:
 
     def gen(self):
         """The generator z of GF(p^k) over GF(p)."""
-        if self.k == 1:
-            raise ValueError("prime field has no generator z")
         return self._make(self._const(self.p))
 
     def t_gen(self):
@@ -514,7 +512,7 @@ class _ZechField(FieldDescriptor):
         # printed once per element: repeated output shares the strings
         name = self._names.get(a)
         if name is None:
-            name = self._names[a] = _fin_str(self, a)
+            name = self._names[a] = super()._str(a)
         return name
 
     def _parse_scalar(self, text):
@@ -795,13 +793,13 @@ class _RationalField(FieldDescriptor):
         if not x:
             return "0"
         num, den = x
-        nterms = _tpoly_terms(self, num)
+        nterms = _terms(num, "t", self.finite_part._str)
         ns = "+".join(nterms)
         if den == (1,):
             return ns
         if len(nterms) > 1 or ("+" in ns and not ns.startswith("(")):
             ns = f"({ns})"
-        dterms = _tpoly_terms(self, den)
+        dterms = _terms(den, "t", self.finite_part._str)
         ds = "+".join(dterms)
         if len(dterms) > 1 or "*" in ds:
             ds = f"({ds})"
@@ -982,41 +980,23 @@ def lift_constant(x, rational_field):
 # printing
 
 
-def _fin_str(F, v):
-    if v == 0:
-        return "0"
-    digits = F._decode(v)
+def _terms(coeffs, var, name):
+    """The nonzero terms of sum(c_i var^i), highest power first; name(c)
+    prints a coefficient, parenthesized when it is a sum."""
     terms = []
-    for i in range(len(digits) - 1, -1, -1):
-        c = digits[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            var = "z" if i == 1 else f"z^{i}"
-            terms.append(var if c == 1 else f"{c}*{var}")
-    return "+".join(terms)
-
-
-def _tpoly_terms(F, poly):
-    FB = F.finite_part
-    terms = []
-    for i in range(len(poly) - 1, -1, -1):
-        c = poly[i]
-        if not c:
-            continue
-        cs = FB._str(c)
+        cs = name(c)
         if i == 0:
             terms.append(cs)
             continue
-        var = "t" if i == 1 else f"t^{i}"
+        v = var if i == 1 else f"{var}^{i}"
         if c == 1:
-            terms.append(var)
+            terms.append(v)
         else:
-            if "+" in cs:
-                cs = f"({cs})"
-            terms.append(f"{cs}*{var}")
+            terms.append(f"({cs})*{v}" if "+" in cs else f"{cs}*{v}")
     return terms
 
 
@@ -1223,13 +1203,7 @@ class Embedding:
         if x.field != self.src:
             raise ValueError("element not in the source field")
         D = self.dst
-        digits = self.src._decode(x.val)
-        acc, w = 0, 1
-        for c in digits:
-            if c:
-                acc = D._fadd(acc, D._fmul(c % D.p, w))
-            w = D._fmul(w, self.gen_image)
-        return D._make(acc)
+        return D._make(_evaluate(D, self.src._decode(x.val), self.gen_image))
 
     def preimage(self, y):
         """Inverse on the image subfield; None if y is not in the image."""
@@ -1245,12 +1219,26 @@ class Embedding:
         return self._preimages.get(y.val)
 
 
+def _evaluate(D, coeffs, x):
+    """sum(c_i x^i) in D, for GF(p) coefficients c_i and x an encoding in
+    D."""
+    acc, w = 0, 1
+    for c in coeffs:
+        if c:
+            acc = D._fadd(acc, D._fmul(c, w))
+        w = D._fmul(w, x)
+    return acc
+
+
 @lru_cache(maxsize=None)
 def extension_field(base, r):
-    """GF(p^(k*r)) with the same (p, e), default modulus.  Its modulus
-    search has the bound of a spec without mod=."""
+    """The degree-r extension of base: base itself when r = 1, otherwise
+    GF(p^(k*r)) with the same (p, e) and its default modulus, whose search
+    has the bound of a spec without mod=."""
     if base.kind != "finite":
         raise ValueError("extensions are taken of finite fields only")
+    if r == 1:
+        return base
     _check_modulus_search(base.p, base.k * r,
                           f"the degree-{r} extension of GF({base.p}^{base.k})")
     return field_make(base.p, base.e, base.k * r, None, "finite")
@@ -1272,7 +1260,7 @@ def embed(src, dst):
     if src.p != dst.p or dst.k % src.k != 0:
         raise ValueError("no embedding: degree mismatch")
     if src == dst:
-        return Embedding(src, dst, src.p if src.k > 1 else 1)
+        return Embedding(src, dst, src.p)
     p, j, k = src.p, src.k, dst.k
     # the subfield of order p^j is refused before its basis is computed
     if p ** j > _ROOT_SEARCH_CAP:
@@ -1284,28 +1272,19 @@ def embed(src, dst):
     # GF(p)-kernel of (x -> x^(p^j)) - id on dst
     cols = []
     for i in range(k):
-        basis_elt = dst._encode([0] * i + [1])
+        basis_elt = p ** i
         img = dst._fpow(basis_elt, p ** j)
         diff = dst._fadd(img, dst._fneg(basis_elt))
         dig = dst._decode(diff)
         cols.append([dig[r] if r < len(dig) else 0 for r in range(k)])
     from .linalg import _gfp_kernel
     kernel = _gfp_kernel(cols, p, k)
-    mod = list(src.modulus)
     for combo in itertools.product(range(p), repeat=len(kernel)):
         acc = 0
         for c, vec in zip(combo, kernel):
             if c:
                 enc = dst._encode([(c * x) % p for x in vec])
                 acc = dst._fadd(acc, enc)
-        # evaluate src modulus at acc
-        val, w = 0, 1
-        for coeff in mod:
-            if coeff:
-                val = dst._fadd(val, dst._fmul(coeff, w))
-            w = dst._fmul(w, acc)
-        if val == 0 and (j == 1 or acc != 0):
-            if j == 1:
-                return Embedding(src, dst, 1)
+        if _evaluate(dst, src.modulus, acc) == 0:
             return Embedding(src, dst, acc)
     raise ValueError("no root of the source modulus found")

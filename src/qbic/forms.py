@@ -14,11 +14,11 @@ import re
 import sys
 
 from . import CostGuardError, _check
-from .fields import _check_modulus_search, embed, extension_field
+from .fields import (_check_modulus_search, embed, extension_field,
+                     field_make)
 from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
-                     descent_test, intersect, kernel, left_orthogonal,
-                     pairing, rank, right_orthogonal, twist_matrix,
-                     twist_subspace)
+                     descent_test, intersect, kernel, left_orthogonal, rank,
+                     right_orthogonal, twist_matrix, twist_subspace)
 
 
 class QBicForm:
@@ -175,10 +175,11 @@ class TypeSignature:
     __slots__ = ("a", "b", "n")
 
     def __init__(self, a, b):
+        # zero counts are allowed (generator_step leaves them) and dropped
+        if a < 0 or any(m < 1 or bm < 0 for m, bm in b.items()):
+            raise ValueError("invalid type data")
         self.a = a
         self.b = {m: bm for m, bm in sorted(b.items()) if bm > 0}
-        if a < 0 or any(m < 1 or bm < 0 for m, bm in self.b.items()):
-            raise ValueError("invalid type data")
         self.n = a + sum(m * bm for m, bm in self.b.items())
 
     def b_m(self, m):
@@ -246,8 +247,8 @@ _TYPE_DIM_CAP = 512
 
 def parse_type(text):
     """Parse a type string: terms joined by '+'; term = 1^a | N<m> |
-    N<m>^<b> | 0^c, with 0 meaning N1.  A type of dimension past
-    _TYPE_DIM_CAP is refused with CostGuardError."""
+    N<m>^<b> | 0^c, with 0 meaning N1 and every exponent positive.  A type
+    of dimension past _TYPE_DIM_CAP is refused with CostGuardError."""
     a = 0
     b = {}
     n = 0
@@ -260,6 +261,8 @@ def parse_type(text):
         size = int(m.group(3)) if m.group(3) else 1
         if size < 1:
             raise ValueError(f"bad block size in {term!r}")
+        if mult < 1:
+            raise ValueError(f"bad exponent in {term!r}")
         n += mult * size
         if n > _TYPE_DIM_CAP:
             raise CostGuardError(f"type has dimension over {_TYPE_DIM_CAP}; "
@@ -356,15 +359,14 @@ class HermitianSpace:
     B v = transpose(B^[1]) v^(q^2) exactly.
     """
 
-    __slots__ = ("form", "r", "ext_field", "base_embedding", "fq2",
-                 "fq2_embedding", "basis", "d", "point_count", "gram_ext")
+    __slots__ = ("form", "r", "ext_field", "fq2", "fq2_embedding", "basis",
+                 "d", "point_count", "gram_ext")
 
-    def __init__(self, form, r, ext_field, base_embedding, fq2,
-                 fq2_embedding, basis, gram_ext):
+    def __init__(self, form, r, ext_field, fq2, fq2_embedding, basis,
+                 gram_ext):
         self.form = form
         self.r = r
         self.ext_field = ext_field
-        self.base_embedding = base_embedding
         self.fq2 = fq2
         self.fq2_embedding = fq2_embedding
         self.basis = basis
@@ -400,9 +402,10 @@ def _check_hermitian_system(f, r):
             f"Hermitian vectors over the degree-{r} extension need a GF(p) "
             f"system of n*k*r = {columns} columns; guard is "
             f"<= {_HERMITIAN_COLUMN_CAP}")
-    _check_modulus_search(base.p, base.k * r,
-                          f"the degree-{r} extension of "
-                          f"GF({base.p}^{base.k})")
+    if r > 1:
+        _check_modulus_search(base.p, base.k * r,
+                              f"the degree-{r} extension of "
+                              f"GF({base.p}^{base.k})")
 
 
 def hermitian_space(f, r):
@@ -430,31 +433,25 @@ def hermitian_space(f, r):
     for j in range(n):
         for i in range(kK):
             x = [K.zero()] * n
-            x[j] = K._make(K._encode([0] * i + [1]))
+            x[j] = K._make(p ** i)
             xq2 = [K._make(K._fpow(v.val, q2)) for v in x]
             img = [u - w for u, w in zip(B.apply(x), C.apply(xq2))]
             cols.append(_flatten_ext_vector(K, img))
     ker = _gfp_kernel(cols, p, n * kK)
 
     # decode GF(p)-kernel vectors back into K^n
-    def decode(vec):
-        out = []
-        for j in range(n):
-            out.append(K._make(K._encode(vec[j * kK:(j + 1) * kK])))
-        return out
-
-    solutions = [decode(v) for v in ker]
+    solutions = [[K._make(K._encode(v[j * kK:(j + 1) * kK]))
+                  for j in range(n)] for v in ker]
 
     # F_{q^2} inside K
     if base.k == 2 * base.e:
         fq2 = base
     else:
-        from .fields import field_make
         fq2 = field_make(base.p, base.e, 2 * base.e, None, "finite")
     fq2_emb = embed(fq2, K)
     mults = []
     w = K.one()
-    gen_img = K._make(fq2_emb.gen_image) if fq2.k > 1 else K.one()
+    gen_img = K._make(fq2_emb.gen_image)
     for _ in range(fq2.k):
         mults.append(w)
         w = w * gen_img
@@ -470,21 +467,18 @@ def hermitian_space(f, r):
     expected = len(ker) // fq2.k
     _check(len(ker) % fq2.k == 0 and len(basis) == expected,
            "Hermitian solution space is not F_{q^2}-linear")
-    return HermitianSpace(f, r, K, emb, fq2, fq2_emb, basis, B)
+    return HermitianSpace(f, r, K, fq2, fq2_emb, basis, B)
 
 
 def hermitian_gram(h):
-    """Gram matrix of beta on the Hermitian basis; entries lie in F_{q^2}
-    and satisfy transpose(H) = H^[1]."""
-    rows = []
-    for vi in h.basis:
-        row = []
-        for vj in h.basis:
-            val = h.fq2_embedding.preimage(pairing(h.gram_ext, vi, vj))
-            _check(val is not None,
-                   "Hermitian pairing value outside F_{q^2}")
-            row.append(val)
-        rows.append(row)
+    """Gram matrix of beta on the Hermitian basis, W^[1] B transpose(W) for
+    the basis vectors as the rows of W; entries lie in F_{q^2} and satisfy
+    transpose(H) = H^[1]."""
+    W = MatrixF(h.ext_field, h.basis, ncols=h.form.n)
+    G = twist_matrix(W, 1) @ h.gram_ext @ W.transpose()
+    rows = [[h.fq2_embedding.preimage(x) for x in row] for row in G.rows]
+    _check(all(x is not None for row in rows for x in row),
+           "Hermitian pairing value outside F_{q^2}")
     return MatrixF(h.fq2, rows)
 
 

@@ -22,7 +22,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .fields import FieldElement
+from .fields import FieldElement, parse_field_spec
 
 
 class MatrixF:
@@ -594,8 +594,6 @@ def format_matrix_file(M, field_spec=None):
 def parse_matrix_file(text):
     """Parse the CLI matrix format: 'field:' and 'n:' headers, then n rows
     of n whitespace-separated element literals."""
-    from .fields import parse_field_spec
-
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) < 2 or not lines[0].startswith("field:"):
         raise ValueError("missing 'field:' header line")

@@ -121,6 +121,16 @@ class TestIsomorphism:
         W = out["witness"]
         assert twisted_congruence(f.gram, W) == g.gram
 
+    def test_rational_over_a_non_default_modulus(self):
+        # both forms classify over their own GF(9), mod=[2,1,1]
+        F = field_make(3, 1, 2, (2, 1, 1))
+        z = F.gen()
+        f = QBicForm(F, MatrixF(F, [[F.one(), z], [z ** 3, F.one()]]))
+        g = QBicForm(F, MatrixF.identity(F, 2))
+        out = is_isomorphic(f, g, mode="rational")
+        assert out["verdict"] == "yes"
+        assert twisted_congruence(f.gram, out["witness"]) == g.gram
+
     def test_rational_undetermined(self):
         z = GF4.gen()
         f = QBicForm(GF4, MatrixF(GF4, [[z]]))

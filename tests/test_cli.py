@@ -23,6 +23,9 @@ def modulus_text(degree, *middle):
 DEG256 = modulus_text(256, 1, 2, 155)
 DEG258 = modulus_text(258, 1)
 DEG400 = modulus_text(400, 1, 2, 245)
+# z^70 + z^24 + z^2 + z + 1 is irreducible over GF(2); a search for a
+# default modulus of degree 70 is past its guard
+GF2_70_SPEC = f"2^70 q=2 mod=[{modulus_text(70, 1, 2, 24)}]"
 
 
 @pytest.fixture
@@ -229,6 +232,22 @@ class TestNormalFormCommand:
             assert code == 3 and out == ""
             assert "384 columns" in err and "<= 256" in err
 
+    def test_degree_one_extension_is_the_input_field(self, capsys,
+                                                      tmp_path):
+        # this form needs no extension; its certificate is over GF(9) with
+        # the file's modulus, not the default one
+        path = tmp_path / "gf9.txt"
+        path.write_text("field: 3^2 q=3 mod=[2,1,1]\nn: 2\n1 z\nz^3 1\n")
+        code, out, _ = run(capsys, "normal-form", str(path))
+        data = json.loads(out)
+        assert code == 0 and data["extension_degree"] == 1
+        assert data["field"] == "3^2 q=3 mod=[2,1,1]"
+        from qbic.linalg import MatrixF, parse_matrix_file, twisted_congruence
+        field, B = parse_matrix_file(path.read_text())
+        U = MatrixF(field, [[field.parse(s) for s in row]
+                            for row in data["transform"]])
+        assert twisted_congruence(B, U) == MatrixF.identity(field, 2)
+
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
         code, out, err = run(capsys, "normal-form", rational_path)
@@ -287,6 +306,10 @@ class TestAutCommand:
         code, out, _ = run(capsys, "aut", rational_path)
         assert code == 0 and json.loads(out)["points"] is None
 
+    def test_zero_exponent_is_input_error(self, capsys):
+        code, out, err = run(capsys, "aut", "--type", "1^0")
+        assert code == 2 and out == "" and "bad exponent" in err
+
     def test_needs_exactly_one_source(self, capsys, n3_path):
         code, _, _ = run(capsys, "aut")
         assert code == 2
@@ -316,6 +339,20 @@ class TestHermitianCommand:
         assert code == 3 and out == "" and "degree 256" in err
         code, out, _ = run(capsys, "hermitian", str(path), "--ext", "32")
         assert code == 0 and json.loads(out)["r"] == 32
+
+    def test_degree_one_needs_no_modulus_search(self, capsys, tmp_path):
+        path = tmp_path / "gf2_70.txt"
+        path.write_text(f"field: {GF2_70_SPEC}\nn: 1\n1\n")
+        code, out, _ = run(capsys, "hermitian", str(path), "--ext", "1")
+        assert code == 0
+        assert json.loads(out) == {"r": 1, "d": 1, "point_count": 4,
+                                   "gram": [["1"]]}
+        code, out, err = run(capsys, "hermitian", str(path), "--ext", "2")
+        assert code == 3 and "degree 140" in err
+        code, out, _ = run(capsys, "normal-form", str(path))
+        data = json.loads(out)
+        assert code == 0 and data["verified"]
+        assert data["field"] == GF2_70_SPEC
 
     def test_system_size_guard(self, capsys, tmp_path):
         # a 100x100 GF(4) form over the degree-32 extension is a GF(p)
@@ -417,6 +454,11 @@ class TestSpecializeCommand:
     def test_dimension_mismatch(self, capsys):
         code, _, _ = run(capsys, "specialize", "--from", "1", "--to", "1^2")
         assert code == 2
+
+    def test_zero_exponent_is_input_error(self, capsys):
+        code, out, err = run(capsys, "specialize", "--from", "1^0",
+                             "--to", "0^0")
+        assert code == 2 and out == "" and "bad exponent" in err
 
     def test_path_budget(self, capsys):
         code, out, err = run(capsys, "specialize", "--from", "1+N3^2+N8+N100",

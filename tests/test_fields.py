@@ -899,3 +899,122 @@ class TestExtensions:
         e4 = embed(GF4, K4)
         for a in GF4.elements():
             assert e24.apply(e2.apply(a)) == e4.apply(a)
+
+    def test_degree_one_extension_is_the_field(self):
+        # a degree-1 extension keeps the base field's own modulus
+        F = field_make(3, 1, 2, (2, 1, 1))
+        assert extension_field(F, 1) is F
+        assert extension_field(GF9, 1) is GF9
+        e = embed(F, extension_field(F, 1))
+        assert all(e.apply(x) == x for x in F.elements())
+
+
+# ---------------------------------------------------------------------------
+# references: the term printers and the embedding loop as separate copies,
+# before each became one shared routine
+
+
+def _ref_fin_str(F, v):
+    if v == 0:
+        return "0"
+    digits = F._decode(v)
+    terms = []
+    for i in range(len(digits) - 1, -1, -1):
+        c = digits[i]
+        if not c:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            var = "z" if i == 1 else f"z^{i}"
+            terms.append(var if c == 1 else f"{c}*{var}")
+    return "+".join(terms)
+
+
+def _ref_tpoly_terms(F, poly):
+    FB = F.finite_part
+    terms = []
+    for i in range(len(poly) - 1, -1, -1):
+        c = poly[i]
+        if not c:
+            continue
+        cs = FB._str(c)
+        if i == 0:
+            terms.append(cs)
+            continue
+        var = "t" if i == 1 else f"t^{i}"
+        if c == 1:
+            terms.append(var)
+        else:
+            if "+" in cs:
+                cs = f"({cs})"
+            terms.append(f"{cs}*{var}")
+    return terms
+
+
+def _ref_rf_str(K, x):
+    if not x:
+        return "0"
+    num, den = x
+    nterms = _ref_tpoly_terms(K, num)
+    ns = "+".join(nterms)
+    if den == (1,):
+        return ns
+    if len(nterms) > 1 or ("+" in ns and not ns.startswith("(")):
+        ns = f"({ns})"
+    dterms = _ref_tpoly_terms(K, den)
+    ds = "+".join(dterms)
+    if len(dterms) > 1 or "*" in ds:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def _ref_apply(e, x):
+    D = e.dst
+    acc, w = 0, 1
+    for c in e.src._decode(x.val):
+        if c:
+            acc = D._fadd(acc, D._fmul(c % D.p, w))
+        w = D._fmul(w, e.gen_image)
+    return acc
+
+
+@st.composite
+def rf_fractions(draw):
+    """A reduced fraction over GF(4)(t) or GF(9)(t) of degree <= 4."""
+    K = draw(st.sampled_from([RF4, RF9]))
+    FB = K.finite_part
+    coeffs = st.lists(st.integers(0, FB.order - 1), min_size=1, max_size=5)
+    num, den = draw(coeffs), draw(coeffs.filter(any))
+    return K._make(_rf_reduce(FB, num, den))
+
+
+class TestPrintersAgainstReference:
+    @pytest.mark.parametrize("F", [GF4, GF9, GF16, GF25, GF256], ids=str)
+    def test_every_element_of_a_tabled_field(self, F):
+        for x in F.elements():
+            assert str(x) == _ref_fin_str(F, x.val)
+
+    def test_seeded_elements_above_the_table_cap(self):
+        rng = random.Random("printer-gf2^18")
+        for _ in range(500):
+            x = GF2_18.random_element(rng)
+            assert str(x) == _ref_fin_str(GF2_18, x.val)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rf_fractions())
+    def test_rational_function_fields(self, x):
+        assert str(x) == _ref_rf_str(x.field, x.val)
+        if x:
+            assert x.field.parse(str(x)) == x
+
+
+class TestEmbeddingImages:
+    @pytest.mark.parametrize("src, r, image", [(GF4, 3, 56), (GF9, 2, 15),
+                                               (GF16, 2, 62)],
+                             ids=["gf4-gf64", "gf9-gf81", "gf16-gf256"])
+    def test_pinned_generator_image(self, src, r, image):
+        e = embed(src, extension_field(src, r))
+        assert e.gen_image == image
+        for x in src.elements():
+            assert e.apply(x).val == _ref_apply(e, x)

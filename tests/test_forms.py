@@ -13,8 +13,8 @@ from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         rank_corank, type_of, type_report)
 from qbic.classify import jordan_gram, standard_gram
 from qbic.linalg import (MatrixF, Subspace, descent_test, intersect,
-                         left_orthogonal, rank, twist_matrix, twist_subspace,
-                         twisted_congruence)
+                         left_orthogonal, pairing, rank, twist_matrix,
+                         twist_subspace, twisted_congruence)
 from qbic.moduli import enumerate_types
 
 GF4 = field_make(2, 1, 2)
@@ -188,6 +188,17 @@ class TestType:
         with pytest.raises(ValueError):
             parse_type("banana")
 
+    def test_negative_counts_are_refused(self):
+        # checked before zero counts are dropped, which stay allowed
+        with pytest.raises(ValueError, match="invalid type data"):
+            TypeSignature(1, {2: -1})
+        assert TypeSignature(1, {2: 0}) == TypeSignature(1, {})
+
+    @pytest.mark.parametrize("text", ["1^0", "0^0", "N2^0+1", "N3+1^0"])
+    def test_zero_exponent_is_refused(self, text):
+        with pytest.raises(ValueError, match="bad exponent"):
+            parse_type(text)
+
     def test_type_dimension_guard(self):
         assert parse_type("N500+1^12").n == 512
         for text in ("N513", "1^512+0", "N2^257", "N256+N256+1",
@@ -346,6 +357,25 @@ class TestHermitian:
                         for i, row in enumerate(power.rows)])
                     h = hermitian_space(QBicForm(field, B), r)
                     assert h.d == n - rank(moved)
+
+    @pytest.mark.parametrize("p,e,k", [(2, 1, 2), (3, 1, 2), (2, 1, 4)])
+    def test_gram_matches_the_pairing_reference(self, p, e, k):
+        # the Gram entry by entry: beta(v_i, v_j), read back in F_{q^2}
+        field = field_make(p, e, k)
+        rng = rng_for(f"hermitian-gram-{p}-{e}-{k}")
+        spans = 0
+        for n in range(1, 4):
+            for r in range(1, 4):
+                for f in (random_form(field, n, rng),
+                          QBicForm(field, random_invertible(field, n, rng))):
+                    h = hermitian_space(f, r)
+                    ref = [[h.fq2_embedding.preimage(
+                                pairing(h.gram_ext, vi, vj))
+                            for vj in h.basis] for vi in h.basis]
+                    assert [list(row) for row in hermitian_gram(h).rows] \
+                        == ref
+                    spans += h.d > 0
+        assert spans >= 5
 
     def test_hermitian_gram_is_hermitian(self):
         f = QBicForm(GF4, MatrixF.identity(GF4, 2))

@@ -24,3 +24,21 @@ def test_absolute_imports_are_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, (path.name, name)
+
+
+# a function-level import is kept only where it breaks an import cycle:
+# (module, function, imported module)
+CYCLE_BREAKERS = {("fields", "embed", "linalg"), ("auts", "phi", "moduli")}
+
+
+def test_relative_imports_are_at_module_top():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    found.add((path.stem, fn.name, node.module))
+    assert found <= CYCLE_BREAKERS, found - CYCLE_BREAKERS
