@@ -50,15 +50,6 @@ def group_dim(t):
     return total
 
 
-def phi(t, m):
-    """Growth coefficient of group_dim under direct sums: adding one N_m
-    summand to a fixed form of type t increases the dimension by phi(t, m)
-    plus the contribution of the new summand itself.  It is Psi_m(t) + n
-    for odd m and 2 Psi_m(t) for even m."""
-    from .moduli import psi   # moduli imports this module
-    return psi(t, m) + t.n if m % 2 == 1 else 2 * psi(t, m)
-
-
 def _guard_text(field, n, candidates=None):
     seen = f"n = {n}, |field|^(n^2) = {field.order ** (n * n)}"
     if candidates is not None:

@@ -969,13 +969,6 @@ def evaluate_at_zero(x):
     return F.finite_part._make(F._at_zero(x.val))
 
 
-def lift_constant(x, rational_field):
-    """Embed a finite field element as a constant of GF(p^k)(t)."""
-    if rational_field.finite_part != x.field:
-        raise ValueError("field mismatch")
-    return rational_field._make(rational_field._const(x.val))
-
-
 # ---------------------------------------------------------------------------
 # printing
 

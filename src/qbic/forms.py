@@ -17,7 +17,7 @@ from . import CostGuardError, _check
 from .fields import (_check_modulus_search, embed, extension_field,
                      field_make)
 from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
-                     descent_test, intersect, kernel, left_orthogonal, rank,
+                     descent_test, intersect, kernel, left_orthogonal,
                      right_orthogonal, twist_matrix, twist_subspace)
 
 
@@ -300,12 +300,7 @@ def type_of(f, filt=None):
 
 
 # ---------------------------------------------------------------------------
-# rank, radical, total orthogonal, descent index
-
-
-def rank_corank(f):
-    r = rank(f.gram)
-    return r, f.n - r
+# radical, total orthogonal, descent index
 
 
 def radical(f):

@@ -470,13 +470,6 @@ def intersect(S1, S2):
                                        in zip(rows, pivots) if pc >= n])
 
 
-def quotient_dim(S1, S2):
-    """dim(S2 / S1) for S1 contained in S2."""
-    if not S2.contains(S1):
-        raise ValueError("first subspace is not contained in the second")
-    return S2.dim - S1.dim
-
-
 def complement(S, inside=None):
     """A deterministic complement of S inside `inside` (default: k^n).
 
@@ -583,9 +576,8 @@ def descent_test(S):
 # matrix file format
 
 
-def format_matrix_file(M, field_spec=None):
-    spec = field_spec if field_spec is not None else M.field.spec_string()
-    lines = [f"field: {spec}", f"n: {M.nrows}"]
+def format_matrix_file(M):
+    lines = [f"field: {M.field.spec_string()}", f"n: {M.nrows}"]
     for r in M.rows:
         lines.append(" ".join(str(e) for e in r))
     return "\n".join(lines) + "\n"

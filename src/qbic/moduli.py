@@ -17,7 +17,7 @@ from collections import deque
 from operator import le
 
 from . import CostGuardError, VerificationError, _check
-from .fields import evaluate_at_zero, field_make
+from .fields import _prime_factors, evaluate_at_zero, field_make
 from .forms import QBicForm, TypeSignature, type_of
 from .auts import group_dim
 from .linalg import MatrixF
@@ -73,6 +73,14 @@ def psi(t, m):
     if m < 1:
         raise ValueError("m must be positive")
     return sum(bm * _block_psi(j, m) for j, bm in t.b.items())
+
+
+def phi(t, m):
+    """Growth coefficient of group_dim under direct sums: adding one N_m
+    summand to a fixed form of type t increases the dimension by phi(t, m)
+    plus the contribution of the new summand itself.  It is Psi_m(t) + n
+    for odd m and 2 Psi_m(t) for even m."""
+    return psi(t, m) + t.n if m % 2 == 1 else 2 * psi(t, m)
 
 
 def theta(t, m):
@@ -139,12 +147,14 @@ class SpecializationWitness:
         self.special_type = type_of(special_fiber(form))
         self.verified = (self.generic_type == claimed_generic
                          and self.special_type == claimed_special)
+        _check(self.verified,
+               f"witness F{family} has fiber types {self.generic_type} ~> "
+               f"{self.special_type}, not the claimed {claimed_generic} ~> "
+               f"{claimed_special}")
 
     def __repr__(self):
-        status = "ok" if self.verified else "FAILED"
         return (f"SpecializationWitness(F{self.family}, s={self.s}, "
-                f"t={self.t}, {self.generic_type} ~> {self.special_type}, "
-                f"{status})")
+                f"t={self.t}, {self.generic_type} ~> {self.special_type})")
 
 
 def special_fiber(form):
@@ -156,34 +166,12 @@ def special_fiber(form):
     return QBicForm(F, MatrixF(F, rows))
 
 
-def _witness_dim(family, s, t):
-    """The dimension of the family's witness; ValueError on parameters
-    outside the family."""
-    if family in (1, 2, 3):
-        if s < 1:
-            raise ValueError(f"family {family} needs s >= 1")
-        return 2 * s + 1 if family == 1 else 2 * s
-    if family == 4:
-        if t is None or not (s >= t >= 1):
-            raise ValueError("family 4 needs s >= t >= 1")
-        return 4 * s - 2 * t + 2
-    if family == 5:
-        if t is None or s < 1 or t < 1:
-            raise ValueError("family 5 needs s >= 1 and t >= 1")
-        return 4 * s + 2 * t
-    if family == 6:
-        if s < 0:
-            raise ValueError("family 6 needs s >= 0")
-        return 2 * s + 1
-    raise ValueError(f"unknown family {family}")
-
-
 def _witness_gram(field, family, s, t):
     """The degeneration Gram matrix of the given family over GF(q^2)(t),
     with the field's variable t playing the uniformizer."""
     one = field.one()
     pi = field.t_gen()
-    n = _witness_dim(family, s, t)
+    n = _family_claim(family, s, t)[0].n
 
     def chain(offset, m):
         # superdiagonal of an N_m block occupying rows/cols offset+1..offset+m
@@ -221,7 +209,8 @@ def _witness_gram(field, family, s, t):
 
 
 def _family_claim(family, s, t):
-    """(generic type, special type) the family's Gram matrix must realize."""
+    """(generic type, special type) the family's Gram matrix must realize;
+    ValueError on parameters outside the family."""
     def N(*ms):
         b = {}
         for m in ms:
@@ -229,6 +218,10 @@ def _family_claim(family, s, t):
                 b[m] = b.get(m, 0) + 1
         return TypeSignature(0, b)
 
+    if family in (1, 2, 3, 6) and t is not None:
+        raise ValueError(f"family {family} takes no t")
+    if family in (1, 2, 3) and s < 1:
+        raise ValueError(f"family {family} needs s >= 1")
     if family == 1:
         return N(2 * s + 1), TypeSignature(2, {2 * s - 1: 1})
     if family == 2:
@@ -237,11 +230,17 @@ def _family_claim(family, s, t):
         gen = TypeSignature(2, {2 * s - 2: 1} if s > 1 else {})
         return gen, N(2 * s)
     if family == 4:
+        if t is None or not (s >= t >= 1):
+            raise ValueError("family 4 needs s >= t >= 1")
         return (N(2 * s - 2 * t, 2 * s + 2), N(2 * s - 2 * t + 2, 2 * s))
     if family == 5:
+        if t is None or s < 1 or t < 1:
+            raise ValueError("family 5 needs s >= 1 and t >= 1")
         return (N(2 * s + 1, 2 * s + 2 * t - 1),
                 N(2 * s - 1, 2 * s + 2 * t + 1))
     if family == 6:
+        if s < 0:
+            raise ValueError("family 6 needs s >= 0")
         return TypeSignature(1, {2 * s: 1} if s else {}), N(2 * s + 1)
     raise ValueError(f"unknown family {family}")
 
@@ -256,46 +255,37 @@ _WITNESS_Q_CAP = 256
 
 
 def witness(family, s, t=None, q=2):
-    """Build and verify the degeneration witness of the given family.
+    """Build the degeneration witness of the given family; building it
+    checks its fibers.
 
     Refused with CostGuardError, before anything is built, when the
-    dimension passes _WITNESS_DIM_CAP or q passes _WITNESS_Q_CAP."""
-    n = _witness_dim(family, s, t)
+    dimension passes _WITNESS_DIM_CAP or q passes _WITNESS_Q_CAP.  Raises
+    VerificationError when a fiber's type misses the family's claim."""
+    claimed_generic, claimed_special = _family_claim(family, s, t)
+    n = claimed_generic.n
     if n > _WITNESS_DIM_CAP or q > _WITNESS_Q_CAP:
         raise CostGuardError(
             f"witness F{family} has dimension {n} over GF({q}^2)(t); guard "
             f"is n <= {_WITNESS_DIM_CAP} and q <= {_WITNESS_Q_CAP}")
-    p, e = _split_prime_power(q)
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, e = primes[0], 1
+    while p ** e < q:
+        e += 1
     K = field_make(p, e, 2 * e, kind="rational-function")
     gram = _witness_gram(K, family, s, t)
-    claimed_generic, claimed_special = _family_claim(family, s, t)
     return SpecializationWitness(family, s, t, QBicForm(K, gram),
                                  claimed_generic, claimed_special)
 
 
-def _split_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return p, e
-            break
-    raise ValueError(f"q = {q} is not a prime power")
-
-
 @functools.cache
-def _verify_f6_core(s, q=2):
+def _verify_f6_core(s):
     """Composite-family instances reduce to the move 1 + N_{2s} ~>
-    N_{2s+1}; each core is backed by a degeneration witness, checked once
-    per (s, q).  A witness that fails raises VerificationError each time,
-    as the cache keeps no exceptions."""
-    _check(witness(6, s, q=q).verified,
-           f"composite move 1+N_{2 * s} ~> N_{2 * s + 1} failed its "
-           f"witness over q = {q}")
+    N_{2s+1}; each core is backed by a degeneration witness over q = 2,
+    built once per s.  A witness that fails raises VerificationError each
+    time, as the cache keeps no exceptions."""
+    witness(6, s)
 
 
 # ---------------------------------------------------------------------------

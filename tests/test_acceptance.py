@@ -12,9 +12,10 @@ from qbic.forms import (QBicForm, hermitian_space, nu_index, nu_zero_bound,
                         parse_type, perp_filtration, perp_prime_filtration,
                         type_of)
 from qbic.classify import normal_form, standard_gram
-from qbic.auts import group_dim, lie_dim, lie_points, phi
+from qbic.auts import group_dim, lie_dim, lie_points
 from qbic.moduli import (build_poset, enumerate_types, generator_step,
-                         necessary, specialize_query, sufficient, witness)
+                         necessary, phi, specialize_query, sufficient,
+                         witness)
 from qbic.linalg import MatrixF, intersect, twist_matrix, twist_subspace
 
 GF4 = field_make(2, 1, 2)

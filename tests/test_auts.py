@@ -11,11 +11,11 @@ from qbic.forms import (QBicForm, parse_type, perp_filtration,
                         perp_prime_filtration, type_of)
 from qbic.classify import jordan_gram, standard_gram
 from qbic.auts import (aut_report, enumerate_points, group_dim, lie_dim,
-                       lie_points, phi)
+                       lie_points)
 from qbic.linalg import (MatrixF, Subspace, kernel, pairing, solve,
                          subspace_vectors, twist_matrix, twist_subspace,
                          twisted_congruence)
-from qbic.moduli import enumerate_types
+from qbic.moduli import enumerate_types, phi
 
 GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)

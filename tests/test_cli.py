@@ -388,13 +388,15 @@ class TestModuliCommand:
     def test_failed_f6_witness_exits_4(self, capsys, monkeypatch):
         from qbic import moduli
 
-        class Failed:
-            verified = False
-
+        # F6's claim, swapped, is one its witness cannot meet
+        real = moduli._family_claim
         moduli._verify_f6_core.cache_clear()
-        monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
+        monkeypatch.setattr(moduli, "_family_claim", lambda family, s, t: (
+            real(family, s, t)[::-1] if family == 6
+            else real(family, s, t)))
         code, out, err = run(capsys, "moduli", "--dim", "3")
-        assert code == 4 and out == "" and "composite move" in err
+        assert code == 4 and out == ""
+        assert "witness F6 has fiber types" in err
 
     def test_nonpositive_dim_is_input_error(self, capsys):
         code, out, err = run(capsys, "moduli", "--dim", "0")
@@ -519,6 +521,15 @@ class TestWitnessCommand:
         assert time.process_time() - start < 0.5
         assert code == 3 and out == "" and seen in err
         assert "guard is n <= 40 and q <= 256" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--family", "1", "--s", "1", "--t", "5"),
+        ("--family", "6", "--s", "0", "--t", "-3"),
+        ("--family", "3", "--s", "30", "--t", "1")])
+    def test_t_outside_the_family(self, capsys, args):
+        code, out, err = run(capsys, "witness", *args)
+        assert code == 2 and out == ""
+        assert f"family {args[1]} takes no t" in err
 
     def test_bad_witness_parameters_before_the_guard(self, capsys):
         code, out, err = run(capsys, "witness", "--family", "4",

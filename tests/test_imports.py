@@ -28,7 +28,7 @@ def test_absolute_imports_are_standard_library():
 
 # a function-level import is kept only where it breaks an import cycle:
 # (module, function, imported module)
-CYCLE_BREAKERS = {("fields", "embed", "linalg"), ("auts", "phi", "moduli")}
+CYCLE_BREAKERS = {("fields", "embed", "linalg")}
 
 
 def test_relative_imports_are_at_module_top():

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -11,8 +12,8 @@ from qbic.cli import main
 from qbic import moduli
 from qbic.moduli import (ModuliPoset, SpecEdge, StratumNode, build_poset,
                          enumerate_types, generator_path, generator_step,
-                         necessary, psi, specialize_query, sufficient, theta,
-                         witness)
+                         necessary, phi, psi, specialize_query, sufficient,
+                         theta, witness)
 
 P = parse_type
 
@@ -53,6 +54,28 @@ def reference_phi(t, m):
     return (sum(2 * l * t.b_m(2 * l) for l in range(1, k))
             + 2 * k * (sum(t.b_m(2 * l - 1) for l in range(1, mu + 1))
                        + sum(t.b_m(2 * l) for l in range(k, mu + 1))))
+
+
+def reference_witness_dim(family, s, t):
+    """The dimension of the family's witness; ValueError on parameters
+    outside the family."""
+    if family in (1, 2, 3):
+        if s < 1:
+            raise ValueError(f"family {family} needs s >= 1")
+        return 2 * s + 1 if family == 1 else 2 * s
+    if family == 4:
+        if t is None or not (s >= t >= 1):
+            raise ValueError("family 4 needs s >= t >= 1")
+        return 4 * s - 2 * t + 2
+    if family == 5:
+        if t is None or s < 1 or t < 1:
+            raise ValueError("family 5 needs s >= 1 and t >= 1")
+        return 4 * s + 2 * t
+    if family == 6:
+        if s < 0:
+            raise ValueError("family 6 needs s >= 0")
+        return 2 * s + 1
+    raise ValueError(f"unknown family {family}")
 
 
 def reference_necessary(tA, tB):
@@ -185,7 +208,6 @@ class TestFunctionals:
 
     def test_block_sums_match_reference(self):
         # past 2n+2 too, where only the reference "no" loop reads Psi
-        from qbic.auts import phi
         for n in range(1, 15):
             for t in enumerate_types(n):
                 for m in range(1, 2 * n + 7):
@@ -194,7 +216,6 @@ class TestFunctionals:
                     assert phi(t, m) == reference_phi(t, m), (t, m)
 
     def test_phi_psi_identities(self):
-        from qbic.auts import phi
         for n in range(1, 7):
             for t in enumerate_types(n):
                 for m in range(1, 2 * n + 3):
@@ -295,6 +316,44 @@ class TestWitnesses:
             witness(7, 1)
         with pytest.raises(ValueError):
             witness(1, 0)
+        for family in (1, 2, 3, 6):
+            for tp in (1, 5, 0, -3):
+                with pytest.raises(ValueError,
+                                   match=f"family {family} takes no t"):
+                    witness(family, 1, tp)
+
+    def test_wrong_claim_raises(self, monkeypatch):
+        # building a witness checks it: no caller can hold one whose
+        # fibers miss the claim
+        monkeypatch.setattr(moduli, "_family_claim", lambda *args: (
+            P("0+N5"), P("N3^2")))
+        with pytest.raises(VerificationError, match=re.escape(
+                "witness F5 has fiber types N3^2 ~> 0+N5, not the claimed "
+                "0+N5 ~> N3^2")):
+            witness(5, 1, 1)
+
+    def test_claims_give_the_witness_dimension(self):
+        # the claim refuses exactly the parameters the reference refuses,
+        # with its text, and otherwise both claimed types and the Gram
+        # matrix have the reference dimension
+        field = field_make(2, 1, 2, kind="rational-function")
+        for family in range(8):
+            for s in range(-1, moduli._WITNESS_DIM_CAP // 2 + 2):
+                tps = ([None] if family in (1, 2, 3, 6)
+                       else [None] + list(range(-1, s + 2)))
+                for tp in tps:
+                    try:
+                        n = reference_witness_dim(family, s, tp)
+                    except ValueError as ex:
+                        with pytest.raises(ValueError, match=re.escape(
+                                str(ex))):
+                            moduli._family_claim(family, s, tp)
+                        continue
+                    gen, spec = moduli._family_claim(family, s, tp)
+                    assert gen.n == spec.n == n, (family, s, tp)
+                    if n <= moduli._WITNESS_DIM_CAP:
+                        gram = moduli._witness_gram(field, family, s, tp)
+                        assert (gram.nrows, gram.ncols) == (n, n)
 
 
 class TestPoset:
@@ -443,14 +502,15 @@ def test_cover_without_a_path_raises(monkeypatch, capsys):
 def test_failed_f6_witness_raises(monkeypatch):
     # a composite move whose core witness fails is an error, not a move
     # to leave out
-    class Failed:
-        verified = False
-
+    # F6's claim, swapped, is one its witness cannot meet
+    real = moduli._family_claim
     moduli._verify_f6_core.cache_clear()
-    monkeypatch.setattr(moduli, "witness", lambda *args, **kw: Failed())
+    monkeypatch.setattr(moduli, "_family_claim", lambda family, s, t: (
+        real(family, s, t)[::-1] if family == 6 else real(family, s, t)))
     for _ in range(2):
         # a failed check is not cached: it raises each time
-        with pytest.raises(VerificationError, match="composite move"):
+        with pytest.raises(VerificationError,
+                           match="witness F6 has fiber types"):
             generator_path(P("1^3"), P("N3"))
     assert generator_path(P("N3"), P("0+1^2")) == [(1, 1, None, P("0+1^2"))]
 
