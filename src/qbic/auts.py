@@ -22,7 +22,6 @@ import operator
 
 from . import CostGuardError
 from .fields import frobenius, qth_root
-from .forms import type_of
 from .linalg import (MatrixF, Subspace, kernel, pairing, solve,
                      subspace_vectors)
 
@@ -185,12 +184,3 @@ def dimensions_report(t):
     return {"type": str(t), "lie_dim": lie_dim(t), "group_dim": group_dim(t),
             "points": None}
 
-
-def aut_report(f, points=False):
-    """JSON-ready report on the automorphism group of f."""
-    report = dimensions_report(type_of(f))
-    if points:
-        count, _ = enumerate_points(f)
-        report["points"] = {"field": f"{f.field.p}^{f.field.k}",
-                            "count": count}
-    return report

@@ -10,8 +10,7 @@ from qbic.fields import field_make, frobenius, qth_root
 from qbic.forms import (QBicForm, parse_type, perp_filtration,
                         perp_prime_filtration, type_of)
 from qbic.classify import jordan_gram, standard_gram
-from qbic.auts import (aut_report, enumerate_points, group_dim, lie_dim,
-                       lie_points)
+from qbic.auts import enumerate_points, group_dim, lie_dim, lie_points
 from qbic.linalg import (MatrixF, Subspace, kernel, pairing, solve,
                          subspace_vectors, twist_matrix, twist_subspace,
                          twisted_congruence)
@@ -330,10 +329,3 @@ class TestLiePoints:
         for _ in range(30):
             f = random_form(GF4, rng.randint(1, 5), rng)
             assert lie_points(f) == 4 ** lie_dim(type_of(f))
-
-
-class TestReport:
-    def test_report_shape(self):
-        rep = aut_report(form_of("1^2"), points=True)
-        assert rep == {"type": "1^2", "lie_dim": 0, "group_dim": 0,
-                       "points": {"field": "2^2", "count": 18}}

@@ -1,9 +1,21 @@
 import json
+import os
+import sys
 import time
 
 import pytest
 
+from qbic import moduli
 from qbic.cli import main
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "qbicbench")
+
+sys.path.insert(0, BENCH)
+try:
+    import workloads
+finally:
+    sys.path.remove(BENCH)
 
 N3_FILE = "field: 2^2 q=2 mod=[1,1,1]\nn: 3\n0 1 0\n0 0 1\n0 0 0\n"
 RATIONAL_FILE = "field: 2^2(t) q=2 mod=[1,1,1]\nn: 2\nt 1\n1 0\n"
@@ -76,6 +88,18 @@ class TestTypeCommand:
         code, out, _ = run(capsys, "type", str(path),
                            "--field", "2^2 q=2 mod=[1,1,1]")
         assert code == 0 and json.loads(out)["type"] == "1"
+
+    @pytest.mark.parametrize("spec,why", [
+        ("2^2 q=3", "q = 3 is not a positive power of p = 2"),
+        ("", "bad field spec: ''")], ids=["q", "empty"])
+    @pytest.mark.parametrize("header", ["", "field: 2^2 q=2 mod=[1,1,1]\n"],
+                             ids=["bare", "header"])
+    def test_bad_field_spec_is_blamed_on_the_flag(self, capsys, tmp_path,
+                                                  header, spec, why):
+        path = tmp_path / "form.txt"
+        path.write_text(header + "n: 1\n1\n")
+        code, out, err = run(capsys, "type", str(path), "--field", spec)
+        assert code == 2 and out == "" and err == f"error: --field: {why}\n"
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "type", str(tmp_path / "nope.txt"))
@@ -310,6 +334,21 @@ class TestAutCommand:
         code, out, err = run(capsys, "aut", "--type", "1^0")
         assert code == 2 and out == "" and "bad exponent" in err
 
+    def test_report_shape(self, capsys, tmp_path):
+        path = diagonal_gf4_file(tmp_path, 2, "1")
+        code, out, _ = run(capsys, "aut", path, "--points")
+        assert code == 0
+        assert json.loads(out) == {"type": "1^2", "lie_dim": 0,
+                                   "group_dim": 0,
+                                   "points": {"field": "2^2", "count": 18}}
+
+    @pytest.mark.parametrize("spec", ["bogus spec", ""],
+                             ids=["bogus", "empty"])
+    def test_field_with_type_is_input_error(self, capsys, spec):
+        code, out, err = run(capsys, "aut", "--type", "N3", "--field", spec)
+        assert code == 2 and out == ""
+        assert "--field needs a gram file, not --type" in err
+
     def test_needs_exactly_one_source(self, capsys, n3_path):
         code, _, _ = run(capsys, "aut")
         assert code == 2
@@ -406,6 +445,19 @@ class TestModuliCommand:
         code, _, _ = run(capsys, "moduli", "--dim", "5",
                          "--restrict", "banana")
         assert code == 2
+
+    def test_empty_restrict_is_input_error(self, capsys):
+        code, out, err = run(capsys, "moduli", "--dim", "3", "--restrict", "")
+        assert code == 2 and out == "" and "bad type term ''" in err
+
+    def test_json_dump(self, capsys, tmp_path):
+        json_path, dot_path = tmp_path / "poset.json", tmp_path / "poset.dot"
+        code, out, _ = run(capsys, "moduli", "--dim", "4", "--json",
+                           str(json_path), "--dot", str(dot_path))
+        assert code == 0 and json.loads(out)["nodes"] == 12
+        poset = moduli.build_poset(4)
+        assert json_path.read_text() == poset.to_json()
+        assert dot_path.read_text() == poset.to_dot()
 
     def test_restrict_type_of_another_dimension(self, capsys):
         code, out, err = run(capsys, "moduli", "--dim", "4",
@@ -535,3 +587,41 @@ class TestWitnessCommand:
         code, out, err = run(capsys, "witness", "--family", "4",
                              "--s", "50", "--t", "60")
         assert code == 2 and out == "" and "s >= t >= 1" in err
+
+
+with open(os.path.join(BENCH, "cli", "golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+TABLE = {cid: (workloads.cli_argv(argv), code, nf)
+         for cid, argv, code, nf in workloads.cli_table()}
+
+
+class TestOutputFlag:
+    @pytest.mark.parametrize("cid", [
+        "type:gf4:N3", "normal-form:gf4:N3", "aut:gf4:1+N2^2",
+        "aut-type:1+N2^2", "hermitian:gf4:N3:r2", "moduli:--dim 4",
+        "specialize:0+1^4:1^2+N3:strict", "witness:5:1:1"])
+    def test_report_goes_to_the_file(self, capsys, tmp_path, cid):
+        argv, code, nf = TABLE[cid]
+        path = tmp_path / "report.json"
+        got, out, err = run(capsys, *argv, "--output", str(path))
+        assert got == code == GOLDEN[cid]["exit"]
+        assert out == "" and err == ""
+        text = path.read_text()
+        if nf is None:
+            assert text == GOLDEN[cid]["stdout"]
+        else:
+            # a normal-form transform is a certificate, checked, not matched
+            case = workloads.Case("cli", cid, argv, nf, (code, GOLDEN[cid]))
+            assert workloads.check(case, (got, text))
+            assert text == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("cid", [
+        "refused:type bad_token.txt", "refused:moduli --dim 9",
+        "refused:aut gf4_N3.txt --type N3"])
+    def test_refusal_writes_no_file(self, capsys, tmp_path, cid):
+        argv, code, _ = TABLE[cid]
+        path = tmp_path / "report.json"
+        got, out, err = run(capsys, *argv, "--output", str(path))
+        assert got == code and code > 0
+        assert out == "" and err != "" and not path.exists()
