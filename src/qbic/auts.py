@@ -8,9 +8,13 @@ rational points exactly as an independent check.
 
 The count is a stabilizer chain over the standard basis (orbit-stabilizer;
 C. Sims 1970; A. Seress, "Permutation Group Algorithms", 2003, ch. 4): one
-existence search per orbit point, not one leaf per automorphism.  Its
-guard bounds n, |field|^(n^2) and the candidate columns of the chain's
-levels, which are known before any search; see enumerate_points.
+existence search per orbit point, not one leaf per automorphism.  It runs
+on the field's stored scalars through linalg's scalar core, with no
+FieldElement: each node of the search reduces its fixed columns to echelon
+once and reduces every candidate column against that echelon, and only
+the sample matrices are built as MatrixF.  Its guard bounds n,
+|field|^(n^2) and the candidate columns of the chain's levels, which are
+known before any search; see enumerate_points.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import math
 import operator
 
 from . import CostGuardError
-from .fields import frobenius, qth_root
-from .linalg import (MatrixF, Subspace, kernel, pairing, solve,
-                     subspace_vectors)
+from .linalg import (Subspace, _comb, _eliminate, _mat, _null_space, _ops,
+                     _solve_rows, _span_vectors, _transposed, _vectors,
+                     kernel)
 
 _ENUM_GUARD = 5 ** 9
 # candidate columns summed over the chain's levels; GF(2^16) 1x1 has 2^16
@@ -67,29 +71,54 @@ def _check_enum_guard(f):
 
 
 def _conditions(f, cols):
-    """The linear system M x = rhs on the column x that follows cols.
+    """The linear system on the column x that follows cols, as the rows
+    [M | rhs] of scalars.
 
     beta(a_i, x) = B_ij is linear in x, and so is beta(x, a_i) = B_ji
     after taking q-th roots of both sides."""
-    B, j = f.gram, len(cols)
-    Bt = B.transpose()
-    rows, rhs = [], []
+    F, B, n = f.field, f.gram._e, f.n
+    ops, q, root = _ops(F), F.q, F._root
+    Bt, j = _transposed(B, n), len(cols)
+    rows = []
     for i, a in enumerate(cols):
-        rows.append(Bt.apply([frobenius(x, 1) for x in a]))
-        rhs.append(B[i, j])
-        rows.append([qth_root(c) for c in B.apply(a)])
-        rhs.append(qth_root(B[j, i]))
-    return MatrixF(f.field, rows, ncols=f.n), rhs
+        rows.append(_comb([F._frob(x, q) for x in a], B, n, ops)
+                    + [B[i][j]])
+        rows.append([root(c) for c in _comb(a, Bt, n, ops)]
+                    + [root(B[j][i])])
+    return rows
+
+
+def _kernel(f, rows):
+    """The reduced echelon basis vectors of the null space of M, given the
+    rows [M | rhs] of a system, reduced or not."""
+    n = f.n
+    return _vectors(_null_space(f.field, n, [r[:n] for r in rows]))
 
 
 def _columns(f, cols, x0, null):
-    """The solutions x0 + k (k in null) of the system after cols that
-    also satisfy beta(x, x) = B_jj and are independent of cols."""
-    B, j = f.gram, len(cols)
-    for k in subspace_vectors(null):
-        x = [a + b for a, b in zip(x0, k)]
-        if (pairing(B, x, x) == B[j, j] and
-                Subspace.from_columns(f.field, f.n, cols + [x]).dim > j):
+    """The solutions x0 + k (k in the span of the vectors null) of the
+    system after cols that also satisfy beta(x, x) = B_jj and are
+    independent of cols.  cols are reduced to echelon once, and each
+    solution is reduced against them."""
+    F, B, n, j = f.field, f.gram._e, f.n, len(cols)
+    ops, q = _ops(F), F.q
+    frob, add, mul = F._frob, F._fadd, F._fmul
+    Bt, target = _transposed(B, n), B[j][j]
+    echelon = [list(a) for a in cols]
+    reduced = list(zip(echelon, _eliminate(echelon, n, ops)))
+    for x in _span_vectors(F, null, x0):
+        # beta(x, x) = sum_r x_r^q (B x)_r
+        beta = ops.zero
+        for a, b in zip(x, _comb(x, Bt, n, ops)):
+            if a and b:
+                beta = add(beta, mul(frob(a, q), b))
+        if beta != target:
+            continue
+        r = list(x)
+        for row, c in reduced:
+            if r[c]:
+                ops.axpy(r, 0, ops.neg(r[c]), row)
+        if any(r):
             yield x
 
 
@@ -98,12 +127,12 @@ def _first_leaf(f, cols):
     found depth first; None when cols extends to none."""
     if len(cols) == f.n:
         return cols
-    M, rhs = _conditions(f, cols)
-    try:
-        x0 = solve(M, rhs)
-    except ValueError:
+    rows = _conditions(f, cols)
+    # solving reduces the rows in place, which keeps the null space of M
+    x0 = _solve_rows(rows, f.n, _ops(f.field))
+    if x0 is None:
         return None
-    for x in _columns(f, cols, x0, kernel(M)):
+    for x in _columns(f, cols, x0, _kernel(f, rows)):
         leaf = _first_leaf(f, cols + [x])
         if leaf is not None:
             return leaf
@@ -111,28 +140,29 @@ def _first_leaf(f, cols):
 
 
 def _chain_levels(f):
-    """The standard basis and the kernels of the n systems with prefix
-    e_1..e_j, the chain's levels; their candidate columns are e_{j+1} plus
-    the kernel's vectors.  Raises CostGuardError when the levels hold more
+    """The chain's levels: for each j, e_{j+1} and the kernel of the system
+    with prefix e_1..e_j, whose vectors added to e_{j+1} are the level's
+    candidate columns.  Raises CostGuardError when the levels hold more
     than _CHAIN_GUARD candidates in all."""
     field, n = f.field, f.n
-    basis = MatrixF.identity(field, n).columns()
-    nulls = [kernel(_conditions(f, basis[:j])[0]) for j in range(n)]
-    candidates = sum(field.order ** S.dim for S in nulls)
+    basis = _vectors(Subspace.full(field, n))
+    levels = [(basis[j], _kernel(f, _conditions(f, basis[:j])))
+              for j in range(n)]
+    candidates = sum(field.order ** len(null) for _, null in levels)
     if candidates > _CHAIN_GUARD:
         raise CostGuardError(_guard_text(field, n, candidates))
-    return basis, nulls
+    return levels
 
 
 def _transversals(f):
     """For each level j, the columns of one automorphism per point x of
     the orbit of e_j under the automorphisms fixing e_1..e_{j-1}."""
-    basis, nulls = _chain_levels(f)
+    levels = _chain_levels(f)
     out = []
-    for j, null in enumerate(nulls):
-        prefix = basis[:j]
+    for j, (e, null) in enumerate(levels):
+        prefix = [b for b, _ in levels[:j]]
         leaves = (_first_leaf(f, prefix + [x])
-                  for x in _columns(f, prefix, basis[j], null))
+                  for x in _columns(f, prefix, e, null))
         out.append([cols for cols in leaves if cols is not None])
     return out
 
@@ -152,13 +182,17 @@ def enumerate_points(f):
     automorphism is exactly one product t_1 ... t_n, so the samples (the
     first such products in itertools.product order) are distinct.
 
+    The search runs on the field's stored scalars: columns are lists of
+    them, and only the samples are built as matrices.
+
     Guarded: refuses n > 3, |field|^(n^2) > 5^9, and chains whose levels
     hold more than 2^16 candidate columns in all."""
     _check_enum_guard(f)
     transversals = _transversals(f)
     count = math.prod(map(len, transversals))
+    F, n = f.field, f.n
     samples = [functools.reduce(operator.matmul,
-                                (MatrixF(f.field, cols).transpose()
+                                (_mat(F, _transposed(cols, n), n)
                                  for cols in ts))
                for ts in itertools.islice(itertools.product(*transversals),
                                           10)]

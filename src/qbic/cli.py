@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the library modules: `type` and
 `normal-form` classify a Gram matrix file, `aut` and `hermitian` report
 on its symmetry, `moduli`, `specialize`, and `witness` work with the
-specialization order on types.  Each subcommand returns its report;
-`main` alone writes it, as deterministic JSON, to stdout or to `--output`
-(which every subcommand takes), and writes refusals to stderr.
+specialization order on types.  Each subcommand returns its report, and
+any further files it asks for; `main` alone writes them, the report as
+deterministic JSON to stdout or to `--output` (which every subcommand
+takes), and writes refusals to stderr.  A command that fails leaves none
+of the files it wrote behind.
 
 Exit codes: 0 success; 1 specialize verdict "no"/"unknown" under
 --strict; 2 input error; 3 cost-guard refusal; 4 a computed certificate or
@@ -15,8 +17,11 @@ an invariant of its construction failed its check (VerificationError).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from typing import NamedTuple
 
 from . import CostGuardError, VerificationError
 from .fields import parse_field_spec
@@ -30,6 +35,30 @@ from . import moduli as moduli_mod
 
 class InputError(Exception):
     pass
+
+
+class _Result(NamedTuple):
+    """A subcommand's report with its exit code and the further files
+    (path, text) it asks for, such as moduli's --dot and --json."""
+    report: dict
+    code: int = 0
+    files: tuple = ()
+
+
+def _write_files(files):
+    """Write each (path, text) in order.  When one cannot be written, the
+    ones already written are removed, so a failed command leaves no file."""
+    done = []
+    try:
+        for path, text in files:
+            with open(path, "w") as fh:
+                done.append(path)
+                fh.write(text)
+    except OSError:
+        for path in done:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _read_form(args, finite=None):
@@ -134,12 +163,10 @@ def cmd_moduli(args):
         poset = moduli_mod.build_poset(args.dim, restrict=restrict)
     except ValueError as ex:
         raise InputError(f"--restrict: {ex}") from None
-    for path, dump in ((args.dot, poset.to_dot), (args.json, poset.to_json)):
-        if path:
-            with open(path, "w") as fh:
-                fh.write(dump())
-    return {"n": poset.n, "nodes": len(poset.nodes),
-            "edges": len(poset.edges), "unknown": 0}
+    dumps = ((args.dot, poset.to_dot), (args.json, poset.to_json))
+    files = tuple((path, dump()) for path, dump in dumps if path)
+    return _Result({"n": poset.n, "nodes": len(poset.nodes),
+                    "edges": len(poset.edges), "unknown": 0}, files=files)
 
 
 def cmd_specialize(args):
@@ -153,7 +180,7 @@ def cmd_specialize(args):
         report["evidence"] = detail
     elif verdict == "no":
         report["violated_psi_index"] = detail
-    return report, int(args.strict and verdict in ("no", "unknown"))
+    return _Result(report, int(args.strict and verdict in ("no", "unknown")))
 
 
 def cmd_witness(args):
@@ -236,15 +263,15 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
-        report, code = report if isinstance(report, tuple) else (report, 0)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
+        result = args.fn(args)
+        if not isinstance(result, _Result):
+            result = _Result(result)
+        text = json.dumps(result.report, indent=2, sort_keys=True) + "\n"
+        out = ((args.output, text),) if args.output else ()
+        _write_files(out + result.files)
+        if not args.output:
             sys.stdout.write(text)
-        return code
+        return result.code
     except InputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

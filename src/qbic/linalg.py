@@ -435,10 +435,20 @@ def subspace_vectors(S):
     F = S.field
     if F.kind != "finite":
         raise ValueError("cannot enumerate a rational function field")
-    ops = _ops(F)
-    vecs = _vectors(S)
+    for v in _span_vectors(F, _vectors(S), [_ops(F).zero] * S.n):
+        yield _elements(F, v)
+
+
+def _span_vectors(F, vecs, start):
+    """start + sum c_k vecs[k] for every coefficient tuple c, in the order
+    of subspace_vectors, as fresh lists of scalars of the finite field F."""
+    axpy = _ops(F).axpy
     for coeffs in itertools.product(range(F.order), repeat=len(vecs)):
-        yield _elements(F, _comb(coeffs, vecs, S.n, ops))
+        out = list(start)
+        for c, v in zip(coeffs, vecs):
+            if c:
+                axpy(out, 0, c, v)
+        yield out
 
 
 def subspace_sum(S1, S2):

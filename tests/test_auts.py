@@ -1,12 +1,14 @@
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_form, random_invertible, rng_for
 from qbic import CostGuardError, auts
-from qbic.fields import field_make, frobenius, qth_root
+from qbic.fields import FieldElement, field_make, frobenius, qth_root
 from qbic.forms import (QBicForm, parse_type, perp_filtration,
                         perp_prime_filtration, type_of)
 from qbic.classify import jordan_gram, standard_gram
@@ -71,6 +73,63 @@ def column_search_count(B):
 
     extend([])
     return count
+
+
+def reference_points(f):
+    """Reference (count, samples), the stabilizer chain on FieldElements
+    that the scalar chain replaced: the same levels, candidate order and
+    depth-first order, each candidate built from elements and tested by
+    `pairing` and a fresh `Subspace.from_columns`.  No guard."""
+    B, field, n = f.gram, f.field, f.n
+    Bt = B.transpose()
+
+    def conditions(cols):
+        j = len(cols)
+        rows, rhs = [], []
+        for i, a in enumerate(cols):
+            rows.append(Bt.apply([frobenius(x, 1) for x in a]))
+            rhs.append(B[i, j])
+            rows.append([qth_root(c) for c in B.apply(a)])
+            rhs.append(qth_root(B[j, i]))
+        return MatrixF(field, rows, ncols=n), rhs
+
+    def columns(cols, x0, null):
+        j = len(cols)
+        for k in subspace_vectors(null):
+            x = [a + b for a, b in zip(x0, k)]
+            if (pairing(B, x, x) == B[j, j] and
+                    Subspace.from_columns(field, n, cols + [x]).dim > j):
+                yield x
+
+    def first_leaf(cols):
+        if len(cols) == n:
+            return cols
+        M, rhs = conditions(cols)
+        try:
+            x0 = solve(M, rhs)
+        except ValueError:
+            return None
+        for x in columns(cols, x0, kernel(M)):
+            leaf = first_leaf(cols + [x])
+            if leaf is not None:
+                return leaf
+        return None
+
+    basis = MatrixF.identity(field, n).columns()
+    transversals = []
+    for j in range(n):
+        prefix = basis[:j]
+        null = kernel(conditions(prefix)[0])
+        leaves = (first_leaf(prefix + [x])
+                  for x in columns(prefix, basis[j], null))
+        transversals.append([cols for cols in leaves if cols is not None])
+    count = math.prod(map(len, transversals))
+    samples = [functools.reduce(operator.matmul,
+                                (MatrixF(field, cols).transpose()
+                                 for cols in ts))
+               for ts in itertools.islice(itertools.product(*transversals),
+                                          10)]
+    return count, samples
 
 
 def general_linear_order(order, n):
@@ -245,6 +304,95 @@ def chain_cases():
                     yield F, t, twisted_congruence(standard_gram(t, F), A)
 
 
+def assert_matches_reference(f):
+    count, samples = enumerate_points(f)
+    want_count, want_samples = reference_points(f)
+    assert count == want_count
+    assert len(samples) == len(want_samples)
+    for S, W in zip(samples, want_samples):
+        assert S == W
+
+
+class TestAgainstElementChain:
+    """The scalar chain returns what the chain on FieldElements returned:
+    the same count and the same sample matrices in the same order."""
+
+    def test_conjugates(self):
+        for F, t, B in chain_cases():
+            assert_matches_reference(QBicForm(F, B))
+
+    def test_every_gf4_gram_of_size_two(self):
+        elements = list(GF4.elements())
+        for a, b, c, d in itertools.product(elements, repeat=4):
+            assert_matches_reference(QBicForm(GF4, MatrixF(GF4, [[a, b],
+                                                                 [c, d]])))
+
+    @pytest.mark.parametrize("e", [1, 4])
+    def test_every_gf256_form_of_size_one(self, e):
+        F = field_make(2, e, 8)
+        for x in F.elements():
+            assert_matches_reference(QBicForm(F, MatrixF(F, [[x]])))
+
+
+# Work of the chain on standard forms, (nodes, candidates): a node is one
+# call of the depth-first search, leaves included, and a candidate is one
+# column tested against beta(x, x) and independence.  Measured on the
+# chain on FieldElements (reference_points); running on scalars must not
+# change the search.
+CHAIN_WORK = {(GF4, "0^2"): (42, 71), (GF4, "0+N2"): (370, 558),
+              (GF4, "0^3"): (357, 978), (GF25, "0^2"): (1848, 3074)}
+
+
+@pytest.mark.parametrize("F,text", list(CHAIN_WORK),
+                         ids=[f"{F.order}:{t}" for F, t in CHAIN_WORK])
+def test_chain_work_is_pinned(monkeypatch, F, text):
+    work = [0, 0]
+    first_leaf, span_vectors = auts._first_leaf, auts._span_vectors
+
+    def counted_leaf(*args):
+        work[0] += 1
+        return first_leaf(*args)
+
+    def counted_vectors(*args):
+        for x in span_vectors(*args):
+            work[1] += 1
+            yield x
+
+    monkeypatch.setattr(auts, "_first_leaf", counted_leaf)
+    monkeypatch.setattr(auts, "_span_vectors", counted_vectors)
+    enumerate_points(QBicForm(F, standard_gram(parse_type(text), F)))
+    assert tuple(work) == CHAIN_WORK[F, text]
+
+
+# FieldElement's arithmetic, as qbicbench/tracer.py counts it, and its
+# constructor, comparisons and truth
+ELEMENT_METHODS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                   "__rmul__", "__neg__", "__truediv__", "__rtruediv__",
+                   "__pow__", "inverse", "__init__", "__eq__", "__hash__",
+                   "__bool__")
+
+
+@pytest.mark.parametrize("F,text", [(GF4, "0+N2"), (GF4, "1^3"),
+                                    (GF25, "0+1"), (GF25, "N2")],
+                         ids=["4:0+N2", "4:1^3", "25:0+1", "25:N2"])
+def test_chain_makes_no_field_element(monkeypatch, F, text):
+    f = QBicForm(F, standard_gram(parse_type(text), F))
+    want = enumerate_points(f)  # builds the field's cached scalar ops
+    calls = []
+    for name in ELEMENT_METHODS:
+        method = FieldElement.__dict__[name]
+
+        def counted(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(FieldElement, name, counted)
+    got = enumerate_points(f)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
+
+
 class TestStabilizerChain:
     def test_matches_column_search_on_conjugates(self):
         for F, t, B in chain_cases():
@@ -269,6 +417,9 @@ class TestStabilizerChain:
         # B = 0 is fixed by every invertible A; orbit j of the chain is
         # every vector outside span(e_1..e_{j-1})
         f = QBicForm(F, MatrixF.zero(F, n, n))
+        # every level is e_j plus the whole space, as scalar rows
+        basis = [list(c) for c in zip(*MatrixF.identity(F, n)._e)]
+        assert auts._chain_levels(f) == [(e, basis) for e in basis]
         assert [len(T) for T in auts._transversals(f)] == [
             F.order ** n - F.order ** j for j in range(n)]
         assert enumerate_points(f)[0] == general_linear_order(F.order, n)
@@ -303,8 +454,10 @@ class TestChainGuard:
         for B in (MatrixF.identity(F, 1), MatrixF.zero(F, 1, 1)):
             f = QBicForm(F, B)
             if k == 16:
-                _, nulls = auts._chain_levels(f)
-                assert sum(F.order ** S.dim for S in nulls) == 2 ** 16
+                levels = auts._chain_levels(f)
+                assert [e for e, _ in levels] == [[F.one().val]]
+                assert sum(F.order ** len(null)
+                           for _, null in levels) == 2 ** 16
             else:
                 with pytest.raises(CostGuardError, match="262144 candidate"):
                     enumerate_points(f)

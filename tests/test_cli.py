@@ -459,6 +459,26 @@ class TestModuliCommand:
         assert json_path.read_text() == poset.to_json()
         assert dot_path.read_text() == poset.to_dot()
 
+    def test_unwritable_report_leaves_no_side_file(self, capsys, tmp_path):
+        dot_path = tmp_path / "t.dot"
+        code, out, err = run(capsys, "moduli", "--dim", "3",
+                             "--dot", str(dot_path),
+                             "--output", str(tmp_path / "nodir" / "x.json"))
+        assert code == 2 and out == "" and "No such file" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_unwritable_side_file_leaves_no_file(self, capsys, tmp_path,
+                                                 output):
+        # the report and --dot are written before --json fails
+        argv = ["moduli", "--dim", "3", "--dot", str(tmp_path / "t.dot"),
+                "--json", str(tmp_path / "nodir" / "x.json")]
+        if output:
+            argv += ["--output", str(tmp_path / "report.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "No such file" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_restrict_type_of_another_dimension(self, capsys):
         code, out, err = run(capsys, "moduli", "--dim", "4",
                              "--restrict", "1^3")
