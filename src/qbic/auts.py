@@ -25,6 +25,7 @@ import math
 import operator
 
 from . import CostGuardError
+from .forms import _require_finite
 from .linalg import (Subspace, _comb, _eliminate, _mat, _null_space, _ops,
                      _solve_rows, _span_vectors, _transposed, _vectors,
                      kernel)
@@ -63,9 +64,8 @@ def _guard_text(field, n, candidates=None):
 
 
 def _check_enum_guard(f):
+    _require_finite(f, "point enumeration")
     field = f.field
-    if field.kind != "finite":
-        raise CostGuardError("point enumeration requires a finite field")
     if f.n > 3 or field.order ** (f.n * f.n) > _ENUM_GUARD:
         raise CostGuardError(_guard_text(field, f.n))
 
@@ -203,8 +203,7 @@ def lie_points(f):
     """Count the matrices phi with B.phi = 0 over the base field; these
     are the tangent vectors id + eps*phi of the automorphism group, and
     the count is |field|^(n * corank)."""
-    if f.field.kind != "finite":
-        raise CostGuardError("Lie point counting requires a finite field")
+    _require_finite(f, "Lie point counting")
     if f.n > 8:
         raise CostGuardError("Lie point counting is guarded at n <= 8")
     # B.phi = 0 holds iff every column of phi lies in the kernel of B.

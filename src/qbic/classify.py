@@ -15,8 +15,8 @@ from itertools import islice
 from . import _check
 from .fields import embed, frobenius
 from .forms import (QBicForm, _check_hermitian_system, _perp_prime_chain,
-                    hermitian_space, perp_filtration, total_orthogonal,
-                    type_of, TypeSignature)
+                    _require_finite, hermitian_space, perp_filtration,
+                    total_orthogonal, type_of, TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
                      intersect, kernel, pairing, rank, right_orthogonal,
                      subspace_sum, twist_matrix, twist_subspace,
@@ -68,11 +68,6 @@ class NeedsExtension(Exception):
 # helpers
 
 
-def _require_finite(f):
-    if f.field.kind != "finite":
-        raise ValueError("normal forms require a finite base field")
-
-
 def _choose_matching(X, D, B, target, b):
     """A b-dimensional subspace Y of X with B.Y = target, linearly disjoint
     from D.
@@ -101,7 +96,7 @@ def peel(f, m, P=None):
     """Split f = (N_m^(b_m) block) + (orthogonal rest) by an explicit basis
     change U; returns (U, rest), the block coming first in U's columns.
     P is the perp filtration of f, when the caller already has it."""
-    _require_finite(f)
+    _require_finite(f, "a normal form")
     field, B, n = f.field, f.gram, f.n
     if P is None:
         P = perp_filtration(f)
@@ -288,7 +283,7 @@ def _extension_degree(f):
 def orthonormalize_nonsingular(f, allow_extension=True):
     """Carry a nonsingular form to the identity Gram matrix, over the
     smallest extension whose Hermitian vectors span."""
-    _require_finite(f)
+    _require_finite(f, "a normal form")
     field, n = f.field, f.n
     if n == 0:
         return NormalFormCertificate(f, TypeSignature(0, {}),
@@ -354,7 +349,7 @@ def normal_form(f, allow_extension=True):
     """Peel block sizes in increasing order, then orthonormalize the
     nonsingular residue; returns a verified certificate carrying f to
     standard_gram(type_of(f))."""
-    _require_finite(f)
+    _require_finite(f, "a normal form")
     field, n = f.field, f.n
     P = perp_filtration(f)
     t = type_of(f, P)
@@ -407,8 +402,8 @@ def is_isomorphic(f, g, mode="geometric"):
     explicit witness over the common base field."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    _require_finite(f)
-    _require_finite(g)
+    _require_finite(f, "isomorphism testing")
+    _require_finite(g, "isomorphism testing")
     tf, tg = type_of(f), type_of(g)
     if mode == "geometric":
         return {"verdict": "yes" if tf == tg else "no",

@@ -151,8 +151,6 @@ class _PolyRing:
         = 1 for every prime l | k.  The z^(p^(k/l)) are met on the way to
         z^(p^k), one p-th power at a time."""
         p, k = self.p, self.k
-        if k < 1:
-            return False
         x = self.divmod(1 << self.w, self.f)[1]
         marks = {k // ell for ell in _prime_factors(k)}
         h, seen = x, []

@@ -17,7 +17,7 @@ from . import CostGuardError, _check
 from .fields import (_check_modulus_search, embed, extension_field,
                      field_make)
 from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
-                     descent_test, intersect, kernel, left_orthogonal,
+                     descent_test, intersect, left_orthogonal,
                      right_orthogonal, twist_matrix, twist_subspace)
 
 
@@ -42,6 +42,13 @@ class QBicForm:
 
     def __repr__(self):
         return f"QBicForm(n={self.n}, gram={self.gram!r})"
+
+
+def _require_finite(f, what):
+    """Refuse with ValueError a form whose field is not finite; `what`
+    names the computation that needs a finite one."""
+    if f.field.kind != "finite":
+        raise ValueError(f"{what} needs a finite base field")
 
 
 def direct_sum(f, g):
@@ -305,9 +312,7 @@ def type_of(f, filt=None):
 
 def radical(f):
     """Vectors of V^[1] orthogonal to everything on both sides."""
-    left = kernel(f.gram.transpose())
-    right = kernel(twist_matrix(f.gram, 1))
-    return intersect(left, right)
+    return total_orthogonal(f, Subspace.full(f.field, f.n))
 
 
 def total_orthogonal(f, S):
@@ -410,11 +415,9 @@ def hermitian_space(f, r):
     so the solutions are found by GF(p)-linear algebra after restricting
     scalars along the fixed power basis of the extension.  Refused by
     _check_hermitian_system before the extension is built."""
-    base = f.field
-    if base.kind != "finite":
-        raise ValueError("Hermitian point counting needs a finite base "
-                         "field")
+    _require_finite(f, "Hermitian point counting")
     _check_hermitian_system(f, r)
+    base = f.field
     K = extension_field(base, r)
     emb = embed(base, K)
     B = MatrixF(K, [[emb.apply(a) for a in row] for row in f.gram.rows])

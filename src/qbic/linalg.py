@@ -8,7 +8,10 @@ field's elements, or GF(q)(t)'s reduced (num, den) pairs with () for zero.
 Every operation here runs on those scalars through the descriptor's
 methods.  FieldElements are made only at the boundary: the public
 constructor takes them, and `rows`, `columns()`, indexing, `apply`,
-`solve` and `pairing` hand them out.
+`solve` and `pairing` hand them out.  `solve` and `subspace_vectors`
+have no caller in the package; they stay as the element-level faces of
+the scalar core (`_solve_rows`, `_span_vectors`) that the tests' reference
+searches and pins read.
 
 Subspaces are held in reduced column echelon form (pivot rows strictly
 increasing, pivots 1, pivot rows zero elsewhere), so subspace equality is
@@ -30,12 +33,12 @@ class MatrixF:
 
     The entries are held in `_e`, a tuple of row tuples of the field's
     scalars (see the module docstring).  `rows` is the same matrix as
-    FieldElements, built on first read and cached.  MatrixF(field, rows)
+    FieldElements, built anew on each read.  MatrixF(field, rows)
     takes rows of FieldElements of `field` and unwraps them once; the
     module's own results are built by `_mat` from scalars, without a copy.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_e", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "_e")
 
     def __init__(self, field, rows, ncols=None):
         e = tuple(_scalars(field, r) for r in rows)
@@ -49,16 +52,12 @@ class MatrixF:
         self.nrows = len(e)
         self.ncols = ncols
         self._e = e
-        self._rows = None
 
     @property
     def rows(self):
         """The entries as a tuple of row tuples of FieldElements."""
-        rows = self._rows
-        if rows is None:
-            make = _ops(self.field).make
-            rows = self._rows = tuple(tuple(map(make, r)) for r in self._e)
-        return rows
+        make = _ops(self.field).make
+        return tuple(tuple(map(make, r)) for r in self._e)
 
     # -- constructors --------------------------------------------------------
 
@@ -183,7 +182,6 @@ def _mat(field, e, ncols):
     M.nrows = len(e)
     M.ncols = ncols
     M._e = e
-    M._rows = None
     return M
 
 
@@ -544,15 +542,9 @@ def twisted_congruence(B, A):
 
 
 def left_orthogonal(B, S):
-    """{w : transpose(w) . B . s = 0 for all s in S}: the null space of
-    the rows (B s)^T."""
-    if B.nrows != B.ncols or S.n != B.ncols:
-        raise ValueError("dimension mismatch")
-    if S.dim == 0:
-        return Subspace.full(B.field, B.nrows)
-    ops, cols = _ops(B.field), _transposed(B._e, B.ncols)
-    return _null_space(B.field, B.nrows,
-                       [_comb(s, cols, B.nrows, ops) for s in _vectors(S)])
+    """{w : transpose(w) . B . s = 0 for all s in S}: the right orthogonal
+    of S under transpose(B)."""
+    return right_orthogonal(B.transpose(), S)
 
 
 def right_orthogonal(B, T):

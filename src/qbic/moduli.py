@@ -6,7 +6,9 @@ enumerates all types of a given dimension, evaluates the numerical
 necessary and sufficient conditions for specialization, and assembles
 the Hasse diagram of the necessary (Psi) relation, certifying each cover
 by a path of basic degeneration moves.  It also constructs explicit
-one-parameter degeneration witnesses over GF(q^2)(t).
+one-parameter degeneration witnesses over GF(q^2)(t).  A move takes its
+generic and special type from its family's witness claim, and applies to
+a type that contains the generic one, replacing it by the special one.
 """
 
 from __future__ import annotations
@@ -223,22 +225,28 @@ def _family_claim(family, s, t):
     if family in (1, 2, 3) and s < 1:
         raise ValueError(f"family {family} needs s >= 1")
     if family == 1:
+        # N_{2s+1} ~> 1^2 + N_{2s-1}
         return N(2 * s + 1), TypeSignature(2, {2 * s - 1: 1})
     if family == 2:
+        # N_{2s} ~> 1 + N_{2s-1}
         return N(2 * s), TypeSignature(1, {2 * s - 1: 1})
     if family == 3:
+        # 1^2 + N_{2s-2} ~> N_{2s}
         gen = TypeSignature(2, {2 * s - 2: 1} if s > 1 else {})
         return gen, N(2 * s)
     if family == 4:
+        # N_{2s-2t} + N_{2s+2} ~> N_{2s-2t+2} + N_{2s}
         if t is None or not (s >= t >= 1):
             raise ValueError("family 4 needs s >= t >= 1")
         return (N(2 * s - 2 * t, 2 * s + 2), N(2 * s - 2 * t + 2, 2 * s))
     if family == 5:
+        # N_{2s+1} + N_{2s+2t-1} ~> N_{2s-1} + N_{2s+2t+1}
         if t is None or s < 1 or t < 1:
             raise ValueError("family 5 needs s >= 1 and t >= 1")
         return (N(2 * s + 1, 2 * s + 2 * t - 1),
                 N(2 * s - 1, 2 * s + 2 * t + 1))
     if family == 6:
+        # the core 1 + N_{2s} ~> N_{2s+1} of the composite moves
         if s < 0:
             raise ValueError("family 6 needs s >= 0")
         return TypeSignature(1, {2 * s: 1} if s else {}), N(2 * s + 1)
@@ -292,72 +300,57 @@ def _verify_f6_core(s):
 # generator steps and paths
 
 
+@functools.cache
+def _move(family, s, tp):
+    """(generic type, special type) of a basic move: the family's claim,
+    except that an F6 move is the composite 1^{2tp-2s-1} + N_{2s} ~>
+    N_{2tp-1}, which expands into F3 moves followed by the core move
+    1 + N_{2tp-2} ~> N_{2tp-1}."""
+    if family != 6:
+        return _family_claim(family, s, tp)
+    return (TypeSignature(2 * tp - 2 * s - 1, {2 * s: 1} if s else {}),
+            TypeSignature(0, {2 * tp - 1: 1}))
+
+
 def generator_step(t):
     """All types reachable from t by a single basic degeneration move.
 
-    Returns (new type, family id, s, t-parameter) tuples; every emitted
-    step satisfies the necessary predicate.  Composite family-6 moves are
-    backed by their core witness only where generator_path returns them.
+    Returns (new type, family id, s, t-parameter) tuples.  A move applies
+    where t contains its generic type, and leads to t - generic + special;
+    every emitted step satisfies the necessary predicate.  Composite
+    family-6 moves are backed by their core witness only where
+    generator_path returns them.
     """
+    mu, n = t.max_block() or 0, t.n
+    # each family's parameters, pruned by the block its generic type needs
+    half = range(1, mu // 2 + 1)
+    params = [(1, s, None) for s in half if t.b_m(2 * s + 1)]
+    params += [(2, s, None) for s in half if t.b_m(2 * s)]
+    if t.a >= 2:
+        params += [(3, s, None) for s in range(1, n // 2 + 1)]
+    params += [(4, s, tp) for s in half if t.b_m(2 * s + 2)
+               for tp in range(1, s + 1)]
+    params += [(5, s, tp) for s in half if t.b_m(2 * s + 1)
+               for tp in range(1, (mu - 2 * s + 2) // 2 + 1)]
+    # a composite takes 2tp - 2s - 1 of t's a lines
+    params += [(6, s, tp) for s in range(mu // 2 + 1) if not s or t.b_m(2 * s)
+               for tp in range(s + 1, min(n + 1, 2 * s + t.a + 1) // 2 + 1)]
     results = []
-
-    def emit(family, s, tp, da, removals, additions):
-        # callers check that the removed blocks exist; N_0 is no block
+    for family, s, tp in params:
+        gen, spec = _move(family, s, tp)
+        if t.a < gen.a or any(t.b_m(m) < c for m, c in gen.b.items()):
+            continue
         b = dict(t.b)
-        for m in removals:
-            if m:
-                b[m] -= 1
-        for m in additions:
-            b[m] = b.get(m, 0) + 1
-        new = TypeSignature(t.a + da, b)
+        for m, c in gen.b.items():
+            b[m] -= c
+        for m, c in spec.b.items():
+            b[m] = b.get(m, 0) + c
+        new = TypeSignature(t.a - gen.a + spec.a, b)
         if not necessary(t, new):
             raise VerificationError(
                 f"move {t} ~> {new} (family {family}, s={s}, t={tp}) "
                 f"violates the necessary predicate")
         results.append((new, family, s, tp))
-
-    mu = t.max_block() or 0
-    n = t.n
-    # F1: N_{2s+1} ~> 1^2 + N_{2s-1}
-    for s in range(1, mu // 2 + 1):
-        if t.b_m(2 * s + 1):
-            emit(1, s, None, 2, [2 * s + 1], [2 * s - 1])
-    # F2: N_{2s} ~> 1 + N_{2s-1}
-    for s in range(1, mu // 2 + 1):
-        if t.b_m(2 * s):
-            emit(2, s, None, 1, [2 * s], [2 * s - 1])
-    # F3: 1^2 + N_{2s-2} ~> N_{2s}
-    if t.a >= 2:
-        for s in range(1, n // 2 + 1):
-            if s == 1 or t.b_m(2 * s - 2):
-                emit(3, s, None, -2, [2 * s - 2], [2 * s])
-    # F4: N_{2s-2t} + N_{2s+2} ~> N_{2s-2t+2} + N_{2s}
-    for s in range(1, mu // 2 + 1):
-        if not t.b_m(2 * s + 2):
-            continue
-        for tp in range(1, s + 1):
-            if s == tp or t.b_m(2 * s - 2 * tp):
-                emit(4, s, tp, 0, [2 * s + 2, 2 * s - 2 * tp],
-                     [2 * s - 2 * tp + 2, 2 * s])
-    # F5: N_{2s+1} + N_{2s+2t-1} ~> N_{2s-1} + N_{2s+2t+1}
-    for s in range(1, mu // 2 + 1):
-        if not t.b_m(2 * s + 1):
-            continue
-        for tp in range(1, (mu - 2 * s + 2) // 2 + 1):
-            hi = 2 * s + 2 * tp - 1
-            if t.b_m(hi) >= (2 if tp == 1 else 1):
-                emit(5, s, tp, 0, [2 * s + 1, hi],
-                     [2 * s - 1, 2 * s + 2 * tp + 1])
-    # F6 composite: 1^{2t-2s-1} + N_{2s} ~> N_{2t-1}; expands into F3
-    # steps followed by the core move 1 + N_{2t-2} ~> N_{2t-1}
-    for s in range(0, mu // 2 + 1):
-        if s and not t.b_m(2 * s):
-            continue
-        for tp in range(s + 1, (n + 1) // 2 + 1):
-            ones = 2 * tp - 2 * s - 1
-            if t.a < ones:
-                break
-            emit(6, s, tp, -ones, [2 * s], [2 * tp - 1])
     return results
 
 

@@ -281,9 +281,13 @@ class TestPointEnumeration:
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
             enumerate_points(QBicForm(GF4, MatrixF.identity(GF4, 4)))
+        # a form over GF(q)(t) is bad input, not a cost
         RF4 = field_make(2, 1, 2, kind="rational-function")
-        with pytest.raises(CostGuardError):
-            enumerate_points(QBicForm(RF4, MatrixF.identity(RF4, 1)))
+        f = QBicForm(RF4, MatrixF.identity(RF4, 1))
+        with pytest.raises(ValueError, match="needs a finite base field"):
+            enumerate_points(f)
+        with pytest.raises(ValueError, match="needs a finite base field"):
+            lie_points(f)
 
 
 # Types whose reference search takes over 0.2 s: it visits one leaf per

@@ -42,3 +42,22 @@ def test_relative_imports_are_at_module_top():
                 if isinstance(node, ast.ImportFrom) and node.level:
                     found.add((path.stem, fn.name, node.module))
     assert found <= CYCLE_BREAKERS, found - CYCLE_BREAKERS
+
+
+def test_imported_names_are_read():
+    # a name imported but never read is left over from a deleted caller
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0]
+                             for alias in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, imported - read)

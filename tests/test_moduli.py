@@ -6,7 +6,7 @@ import pytest
 
 from qbic import CostGuardError, VerificationError
 from qbic.fields import field_make
-from qbic.forms import parse_type
+from qbic.forms import TypeSignature, parse_type
 from qbic.auts import group_dim
 from qbic.cli import main
 from qbic import moduli
@@ -123,7 +123,7 @@ def reference_build_poset(n, restrict=None):
         for j, s in enumerate(universe):
             if i != j and reference_sufficient(t, s):
                 reach[i][j] = True
-        for (new, _, _, _) in generator_step(t):
+        for (new, _, _, _) in reference_generator_step(t):
             reach[i][index[new.key()]] = True
     for k in range(m):
         for i in range(m):
@@ -160,6 +160,79 @@ def reference_build_poset(n, restrict=None):
                 unknown.append((src.t, dst.t))
     return ModuliPoset(n, nodes, edges), proven, unknown
 
+
+def reference_generator_step(t):
+    """The basic moves with each family's removed and added blocks written
+    out by hand; generator_step reads them from the families' claims."""
+    results = []
+
+    def emit(family, s, tp, da, removals, additions):
+        # callers check that the removed blocks exist; N_0 is no block
+        b = dict(t.b)
+        for m in removals:
+            if m:
+                b[m] -= 1
+        for m in additions:
+            b[m] = b.get(m, 0) + 1
+        new = TypeSignature(t.a + da, b)
+        assert necessary(t, new)
+        results.append((new, family, s, tp))
+
+    mu = t.max_block() or 0
+    n = t.n
+    # F1: N_{2s+1} ~> 1^2 + N_{2s-1}
+    for s in range(1, mu // 2 + 1):
+        if t.b_m(2 * s + 1):
+            emit(1, s, None, 2, [2 * s + 1], [2 * s - 1])
+    # F2: N_{2s} ~> 1 + N_{2s-1}
+    for s in range(1, mu // 2 + 1):
+        if t.b_m(2 * s):
+            emit(2, s, None, 1, [2 * s], [2 * s - 1])
+    # F3: 1^2 + N_{2s-2} ~> N_{2s}
+    if t.a >= 2:
+        for s in range(1, n // 2 + 1):
+            if s == 1 or t.b_m(2 * s - 2):
+                emit(3, s, None, -2, [2 * s - 2], [2 * s])
+    # F4: N_{2s-2t} + N_{2s+2} ~> N_{2s-2t+2} + N_{2s}
+    for s in range(1, mu // 2 + 1):
+        if not t.b_m(2 * s + 2):
+            continue
+        for tp in range(1, s + 1):
+            if s == tp or t.b_m(2 * s - 2 * tp):
+                emit(4, s, tp, 0, [2 * s + 2, 2 * s - 2 * tp],
+                     [2 * s - 2 * tp + 2, 2 * s])
+    # F5: N_{2s+1} + N_{2s+2t-1} ~> N_{2s-1} + N_{2s+2t+1}
+    for s in range(1, mu // 2 + 1):
+        if not t.b_m(2 * s + 1):
+            continue
+        for tp in range(1, (mu - 2 * s + 2) // 2 + 1):
+            hi = 2 * s + 2 * tp - 1
+            if t.b_m(hi) >= (2 if tp == 1 else 1):
+                emit(5, s, tp, 0, [2 * s + 1, hi],
+                     [2 * s - 1, 2 * s + 2 * tp + 1])
+    # F6 composite: 1^{2t-2s-1} + N_{2s} ~> N_{2t-1}; expands into F3
+    # steps followed by the core move 1 + N_{2t-2} ~> N_{2t-1}
+    for s in range(0, mu // 2 + 1):
+        if s and not t.b_m(2 * s):
+            continue
+        for tp in range(s + 1, (n + 1) // 2 + 1):
+            ones = 2 * tp - 2 * s - 1
+            if t.a < ones:
+                break
+            emit(6, s, tp, -ones, [2 * s], [2 * tp - 1])
+    return results
+
+
+@pytest.fixture
+def claim_caches():
+    """Empty the caches that read _family_claim before and after a test
+    that patches it, so that no test sees another's claims."""
+    caches = (moduli._move, moduli._verify_f6_core)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
 FIG5_TYPES = ["1^5", "1^3+N2", "1^2+N3", "1+N4", "N5", "1+N2^2", "N2+N3",
@@ -285,6 +358,15 @@ class TestGeneratorSteps:
                     assert necessary(t, new)
                     assert group_dim(new) > group_dim(t), (t, new, fam)
 
+    def test_moves_are_the_reference_moves(self):
+        # the same steps in the same order, for every type with n <= 12
+        # and for types with a long block
+        types = [t for n in range(1, 13) for t in enumerate_types(n)]
+        assert len(types) == 889
+        for t in types + [P("1+N3^2+N8+N100"), P("0+N7^2+N100"),
+                          P("N512")]:
+            assert generator_step(t) == reference_generator_step(t), t
+
     def test_path_search(self):
         path = generator_path(P("1^5"), P("0^5"))
         assert path is not None and len(path) >= 1
@@ -322,7 +404,7 @@ class TestWitnesses:
                                    match=f"family {family} takes no t"):
                     witness(family, 1, tp)
 
-    def test_wrong_claim_raises(self, monkeypatch):
+    def test_wrong_claim_raises(self, monkeypatch, claim_caches):
         # building a witness checks it: no caller can hold one whose
         # fibers miss the claim
         monkeypatch.setattr(moduli, "_family_claim", lambda *args: (
@@ -499,12 +581,11 @@ def test_cover_without_a_path_raises(monkeypatch, capsys):
     assert out.out == "" and "no path of basic moves" in out.err
 
 
-def test_failed_f6_witness_raises(monkeypatch):
+def test_failed_f6_witness_raises(monkeypatch, claim_caches):
     # a composite move whose core witness fails is an error, not a move
     # to leave out
     # F6's claim, swapped, is one its witness cannot meet
     real = moduli._family_claim
-    moduli._verify_f6_core.cache_clear()
     monkeypatch.setattr(moduli, "_family_claim", lambda family, s, t: (
         real(family, s, t)[::-1] if family == 6 else real(family, s, t)))
     for _ in range(2):
