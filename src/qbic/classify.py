@@ -92,16 +92,13 @@ def _choose_matching(X, D, B, target, b):
 # peeling one block size
 
 
-def peel(f, m, P=None):
+def peel(f, m):
     """Split f = (N_m^(b_m) block) + (orthogonal rest) by an explicit basis
-    change U; returns (U, rest), the block coming first in U's columns.
-    P is the perp filtration of f, when the caller already has it."""
+    change U; returns (U, rest), the block coming first in U's columns."""
     _require_finite(f, "a normal form")
     field, B, n = f.field, f.gram, f.n
-    if P is None:
-        P = perp_filtration(f)
-    t = type_of(f, P)
-    b = t.b_m(m)
+    P = perp_filtration(f)
+    b = type_of(f).b_m(m)
     if b == 0:
         raise ValueError(f"type has no N_{m} summand")
     # P'_i V for i <= m, the largest index read: over a finite field every
@@ -188,8 +185,7 @@ def _standardize_block(field, B, M, m, b):
     mb = m * b
     one = MatrixF.identity(field, mb)
     # the i-th group of b unit vectors: already reduced echelon
-    blocks = {i: Subspace(field, mb,
-                          one.submatrix(range(mb), range((i - 1) * b, i * b)))
+    blocks = {i: Subspace(one.submatrix(range(mb), range((i - 1) * b, i * b)))
               for i in range(1, m + 1)}
 
     # recognition conditions, checked before the final adjustment
@@ -351,18 +347,12 @@ def normal_form(f, allow_extension=True):
     standard_gram(type_of(f))."""
     _require_finite(f, "a normal form")
     field, n = f.field, f.n
-    P = perp_filtration(f)
-    t = type_of(f, P)
+    t = type_of(f)
     U = MatrixF.identity(field, n)
     rest = f
     offset = 0
     for m in sorted(t.b):
-        # P is the filtration of rest only while rest is still f; a later
-        # peel builds rest's own.  Having every peel read just the pieces
-        # it needs from _perp_chain(rest) instead recomputes f's pieces in
-        # the first peel: a seed-11 normal-form round of the benchmark
-        # went from 1,063 to 1,380 right_orthogonal calls.
-        T, rest = peel(rest, m, P if rest is f else None)
+        T, rest = peel(rest, m)
         lift = MatrixF.block_diagonal(
             field, [MatrixF.identity(field, offset), T])
         U = U @ lift
@@ -402,14 +392,14 @@ def is_isomorphic(f, g, mode="geometric"):
     explicit witness over the common base field."""
     if f.n != g.n:
         raise ValueError("dimension mismatch")
-    _require_finite(f, "isomorphism testing")
-    _require_finite(g, "isomorphism testing")
     tf, tg = type_of(f), type_of(g)
     if mode == "geometric":
         return {"verdict": "yes" if tf == tg else "no",
                 "type_from": str(tf), "type_to": str(tg)}
     if mode != "rational":
         raise ValueError(f"unknown mode {mode!r}")
+    _require_finite(f, "isomorphism testing")
+    _require_finite(g, "isomorphism testing")
     if f.field != g.field:
         raise ValueError("rational mode requires a common base field")
     if tf != tg:

@@ -5,7 +5,8 @@ B[i][j] = beta(e_i^[1], e_j): linear in the second argument and
 q-power-Frobenius-linear in the first.  This module computes the two
 canonical filtrations, the type invariant (a; b_m), rank and radical,
 the descent index nu, and the space of Hermitian vectors over finite
-extensions.
+extensions.  A form builds its perp filtration once, on first use, and
+keeps it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
 
 
 class QBicForm:
-    __slots__ = ("field", "gram", "n")
+    __slots__ = ("field", "gram", "n", "_perp")
 
     def __init__(self, field, gram):
         if gram.nrows != gram.ncols:
@@ -32,6 +33,7 @@ class QBicForm:
         self.field = field
         self.gram = gram
         self.n = gram.nrows
+        self._perp = None  # built by perp_filtration on first use
 
     def __eq__(self, other):
         return (isinstance(other, QBicForm) and self.field == other.field
@@ -115,10 +117,9 @@ class PerpFiltration:
     of P_{i-1}.  Odd pieces increase to p_minus, even pieces decrease to
     p_plus."""
 
-    __slots__ = ("n", "_pieces")
+    __slots__ = ("_pieces",)
 
-    def __init__(self, n, pieces):
-        self.n = n
+    def __init__(self, pieces):
         self._pieces = pieces  # P_0, P_1, ... up to where they repeat
 
     def piece(self, i):
@@ -126,7 +127,8 @@ class PerpFiltration:
         if i < -1:
             raise ValueError("filtration index must be >= -1")
         if i == -1:
-            return Subspace.zero(self._pieces[0].field, self.n)
+            V = self._pieces[0]
+            return Subspace.zero(V.field, V.n)
         return _at(self._pieces, i)
 
     @property
@@ -139,8 +141,11 @@ class PerpFiltration:
 
 
 def perp_filtration(f):
-    return PerpFiltration(
-        f.n, _periodic(_perp_chain(f), f.n, "perp filtration"))
+    """The perp filtration of f, built on the first call and kept on f."""
+    if f._perp is None:
+        f._perp = PerpFiltration(
+            _periodic(_perp_chain(f), f.n, "perp filtration"))
+    return f._perp
 
 
 class PerpPrimeFiltration:
@@ -148,10 +153,9 @@ class PerpPrimeFiltration:
     (i-1)-twisted pairing) of the previous piece; each piece is stored at
     the least twist level it descends to."""
 
-    __slots__ = ("n", "_pieces")
+    __slots__ = ("_pieces",)
 
-    def __init__(self, n, pieces):
-        self.n = n
+    def __init__(self, pieces):
         self._pieces = pieces  # (S, l) pairs of _perp_prime_chain
 
     def piece_on_twist(self, i):
@@ -169,7 +173,7 @@ class PerpPrimeFiltration:
 
 def perp_prime_filtration(f):
     return PerpPrimeFiltration(
-        f.n, _periodic(_perp_prime_chain(f), f.n, "perp-prime filtration"))
+        _periodic(_perp_prime_chain(f), f.n, "perp-prime filtration"))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +285,10 @@ def parse_type(text):
     return TypeSignature(a, b)
 
 
-def type_of(f, filt=None):
+def type_of(f):
     """The type (a; b_m), computed from perp-filtration quotient dimensions
     only, so it is valid over imperfect fields as well."""
-    if filt is None:
-        filt = perp_filtration(f)
+    filt = perp_filtration(f)
     n = f.n
     dims = {i: filt.piece(i).dim for i in range(-1, n + 2)}
 

@@ -363,14 +363,14 @@ def solve(M, b):
 
 
 class Subspace:
-    """A subspace of k^n held as its unique reduced column echelon basis."""
+    """A subspace of k^n held as its unique reduced column echelon basis,
+    an n x dim MatrixF; its field and n are read from that basis."""
 
     __slots__ = ("field", "n", "basis")
 
-    def __init__(self, field, n, basis):
-        self.field = field
-        self.n = n
-        self.basis = basis  # MatrixF, n x dim, reduced column echelon
+    def __init__(self, basis):
+        self.field, self.n = basis.field, basis.nrows
+        self.basis = basis
 
     @staticmethod
     def from_columns(field, n, cols):
@@ -385,7 +385,7 @@ class Subspace:
 
     @staticmethod
     def full(field, n):
-        return Subspace(field, n, MatrixF.identity(field, n))
+        return Subspace(MatrixF.identity(field, n))
 
     @property
     def dim(self):
@@ -417,7 +417,7 @@ def _vectors(S):
 
 def _from_echelon(F, n, vecs):
     """The Subspace whose reduced echelon basis vectors are vecs."""
-    return Subspace(F, n, _mat(F, _transposed(vecs, n), len(vecs)))
+    return Subspace(_mat(F, _transposed(vecs, n), len(vecs)))
 
 
 def _span(F, n, vecs):
@@ -495,8 +495,7 @@ def complement(S, inside=None):
     pivots = _eliminate(rows, d + amb.dim, _ops(S.field))
     if len(pivots) != amb.dim:
         raise ValueError("subspace is not inside the ambient space")
-    return Subspace(S.field, S.n,
-                    amb.basis.submatrix(range(S.n),
+    return Subspace(amb.basis.submatrix(range(S.n),
                                         [c - d for c in pivots if c >= d]))
 
 
@@ -518,7 +517,7 @@ def twist_subspace(S, i):
     """Frobenius twist of a subspace; echelon shape is preserved."""
     if i == 0:
         return S
-    return Subspace(S.field, S.n, twist_matrix(S.basis, i))
+    return Subspace(twist_matrix(S.basis, i))
 
 
 def pairing(B, u, v):
@@ -571,7 +570,7 @@ def descent_test(S):
         if None in row:
             return None
         rooted.append(row)
-    return Subspace(F, S.n, _mat(F, tuple(rooted), S.dim))
+    return Subspace(_mat(F, tuple(rooted), S.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from qbic.forms import (QBicForm, parse_type, perp_filtration,
 from qbic.classify import jordan_gram, standard_gram
 from qbic.auts import enumerate_points, group_dim, lie_dim, lie_points
 from qbic.linalg import (MatrixF, Subspace, kernel, pairing, solve,
-                         subspace_vectors, twist_matrix, twist_subspace,
-                         twisted_congruence)
+                         subspace_vectors, twist_matrix, twisted_congruence)
 from qbic.moduli import enumerate_types, phi
 
 GF4 = field_make(2, 1, 2)

@@ -3,12 +3,12 @@ import time
 import pytest
 
 from conftest import random_invertible, rng_for
-from qbic import CostGuardError, classify
+from qbic import CostGuardError, classify, forms, moduli
 from qbic.fields import embed, field_make, frobenius
 from qbic.forms import (QBicForm, hermitian_gram, hermitian_space,
                         parse_type, type_of)
 from qbic.classify import (NeedsExtension, is_isomorphic, jordan_gram,
-                           normal_form, standard_gram)
+                           normal_form, peel, standard_gram)
 from qbic.linalg import (MatrixF, Subspace, image, intersect,
                          subspace_vectors, twisted_congruence)
 from qbic.moduli import enumerate_types
@@ -20,6 +20,7 @@ GF16_Q2 = field_make(2, 1, 4)
 GF25 = field_make(5, 1, 2)
 GF256 = field_make(2, 4, 8)
 GF1024 = field_make(2, 5, 10)
+RF4 = field_make(2, 1, 2, kind="rational-function")
 
 
 def form_of(text, field=GF4):
@@ -111,6 +112,22 @@ class TestIsomorphism:
         assert is_isomorphic(f, g)["verdict"] == "yes"
         assert is_isomorphic(f, form_of("1^2"))["verdict"] == "no"
 
+    def test_unknown_mode(self):
+        f = form_of("N2")
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            is_isomorphic(f, f, mode="bogus")
+
+    def test_geometric_over_a_rational_function_field(self):
+        # geometric mode compares types, which need no finite field
+        f = QBicForm(RF4, MatrixF.identity(RF4, 2))
+        g = QBicForm(RF4, moduli._witness_gram(RF4, 2, 1, None))
+        assert is_isomorphic(f, f)["verdict"] == "yes"
+        assert is_isomorphic(f, g) == {"verdict": "no", "type_from": "1^2",
+                                       "type_to": "N2"}
+        with pytest.raises(ValueError,
+                           match="isomorphism testing needs a finite base"):
+            is_isomorphic(f, f, mode="rational")
+
     def test_rational_witness(self):
         rng = rng_for("iso-rational")
         f = form_of("N2+N3")
@@ -120,6 +137,9 @@ class TestIsomorphism:
         assert out["verdict"] == "yes"
         W = out["witness"]
         assert twisted_congruence(f.gram, W) == g.gram
+        out = is_isomorphic(f, form_of("1^2+N3"), mode="rational")
+        assert out == {"verdict": "no", "type_from": "N2+N3",
+                       "type_to": "1^2+N3"}
 
     def test_rational_over_a_non_default_modulus(self):
         # both forms classify over their own GF(9), mod=[2,1,1]
@@ -226,6 +246,26 @@ class TestPeelByElimination:
         t0 = time.perf_counter()
         assert_normal_form(f, t)
         assert time.perf_counter() - t0 < 1.0
+
+
+    @pytest.mark.parametrize("text", ["0+N2+N3", "1+N2^2"])
+    def test_perp_chain_starts_once_per_peel(self, monkeypatch, text):
+        # the first peel reads f's filtration; each later rest builds its own
+        starts = []
+        real = forms._perp_chain
+
+        def counting(f):
+            starts.append(f)
+            return real(f)
+
+        monkeypatch.setattr(forms, "_perp_chain", counting)
+        t = parse_type(text)
+        assert_normal_form(conjugate(t, GF4, rng_for(f"chain-{text}")), t)
+        assert len(starts) == len(t.b)
+
+    def test_missing_block_is_refused(self):
+        with pytest.raises(ValueError, match="type has no N_3 summand"):
+            peel(form_of("N2"), 3)
 
 
 class TestOrthonormalize:

@@ -342,12 +342,13 @@ class TestAutCommand:
                                    "group_dim": 0,
                                    "points": {"field": "2^2", "count": 18}}
 
-    @pytest.mark.parametrize("spec", ["bogus spec", ""],
-                             ids=["bogus", "empty"])
-    def test_field_with_type_is_input_error(self, capsys, spec):
-        code, out, err = run(capsys, "aut", "--type", "N3", "--field", spec)
+    @pytest.mark.parametrize("args", [
+        ("--field", "bogus spec"), ("--field", ""), ("--points",)],
+        ids=["bogus", "empty", "points"])
+    def test_field_with_type_is_input_error(self, capsys, args):
+        code, out, err = run(capsys, "aut", "--type", "N3", *args)
         assert code == 2 and out == ""
-        assert "--field needs a gram file, not --type" in err
+        assert f"{args[0]} needs a gram file, not --type" in err
 
     def test_needs_exactly_one_source(self, capsys, n3_path):
         code, _, _ = run(capsys, "aut")
@@ -602,6 +603,13 @@ class TestWitnessCommand:
         code, out, err = run(capsys, "witness", *args)
         assert code == 2 and out == ""
         assert f"family {args[1]} takes no t" in err
+
+    @pytest.mark.parametrize("q", ["6", "1"])
+    def test_q_not_a_prime_power(self, capsys, q):
+        code, out, err = run(capsys, "witness", "--family", "1", "--s", "1",
+                             "--q", q)
+        assert code == 2 and out == ""
+        assert f"q = {q} is not a prime power" in err
 
     def test_bad_witness_parameters_before_the_guard(self, capsys):
         code, out, err = run(capsys, "witness", "--family", "4",

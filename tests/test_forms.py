@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (LADDER_WITNESSES, random_form, random_invertible,
                       rng_for)
-from qbic import CostGuardError, VerificationError, _check, moduli
+from qbic import CostGuardError, VerificationError, _check, forms, moduli
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
@@ -132,6 +132,10 @@ class TestPerpFiltration:
                                                     (n + 1) // 2)
                 else:
                     assert filt.piece(i).dim == n - min(i // 2, n // 2)
+
+    def test_built_once_per_form(self):
+        f = form_of("0+N3")
+        assert perp_filtration(f) is perp_filtration(f)
 
     def test_nonsingular_stabilizes_immediately(self):
         f = form_of("1^4")
@@ -402,6 +406,8 @@ class TestTypeReport:
 class TestExplicitChecks:
     """The invariant checks raise VerificationError, also under -O."""
 
-    def test_type_dimensions_must_add_up(self):
+    def test_type_dimensions_must_add_up(self, monkeypatch):
+        other = perp_filtration(form_of("N2"))
+        monkeypatch.setattr(forms, "perp_filtration", lambda f: other)
         with pytest.raises(VerificationError, match="do not add up"):
-            type_of(form_of("1+N2"), perp_filtration(form_of("N2")))
+            type_of(form_of("1+N2"))

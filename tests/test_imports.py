@@ -7,6 +7,7 @@ import sys
 import qbic
 
 SRC = pathlib.Path(qbic.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def test_absolute_imports_are_standard_library():
@@ -46,7 +47,7 @@ def test_relative_imports_are_at_module_top():
 
 def test_imported_names_are_read():
     # a name imported but never read is left over from a deleted caller
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *TESTS.glob("*.py")]):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = set()
         for node in ast.walk(tree):
