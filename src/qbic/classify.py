@@ -15,8 +15,8 @@ from itertools import islice
 from . import _check
 from .fields import embed, frobenius
 from .forms import (QBicForm, _check_hermitian_system, _perp_prime_chain,
-                    _require_finite, hermitian_space, perp_filtration,
-                    total_orthogonal, type_of, TypeSignature)
+                    _require_finite, hermitian_space, lift_matrix,
+                    perp_filtration, total_orthogonal, type_of, TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
                      intersect, kernel, pairing, rank, right_orthogonal,
                      subspace_sum, twist_matrix, twist_subspace,
@@ -360,20 +360,11 @@ def normal_form(f, allow_extension=True):
 
     cert0 = orthonormalize_nonsingular(rest, allow_extension)
     K = cert0.extension_field
-    if K == field:
-        U_K = U
-        B_K = f.gram
-    else:
-        emb = embed(field, K)
-
-        def lift_mat(M):
-            return MatrixF(K, [[emb.apply(a) for a in r] for r in M.rows])
-
-        U_K = lift_mat(U)
-        B_K = lift_mat(f.gram)
+    emb = embed(field, K)
+    B_K = lift_matrix(f.gram, emb)
     tail = MatrixF.block_diagonal(
         K, [MatrixF.identity(K, offset), cert0.transform])
-    U_K = U_K @ tail
+    U_K = lift_matrix(U, emb) @ tail
 
     # move the identity block to the front: degenerate blocks were peeled
     # smallest first, so the current Gram is N_1^... then 1^a at the end

@@ -159,12 +159,14 @@ class PerpPrimeFiltration:
         self._pieces = pieces  # (S, l) pairs of _perp_prime_chain
 
     def piece_on_twist(self, i):
-        """P'_i V^[i] in V^[i] coordinates, for any i >= 0."""
+        """P'_i V^[i] in V^[i] coordinates, for any i >= 0.  Only the
+        tests read it, against their reference chain and filtrations."""
         S, level = _at(self._pieces, i)
         return twist_subspace(S, i - level)
 
     def descent_level(self, i):
-        """Least twist level P'_i descends to."""
+        """Least twist level P'_i descends to.  Only the tests read it,
+        against their reference chain; nu reads the levels directly."""
         return _at(self._pieces, i)[1]
 
     def nu(self):
@@ -378,6 +380,14 @@ class HermitianSpace:
         self.point_count = (form.field.q ** 2) ** self.d
 
 
+def lift_matrix(M, emb):
+    """M entrywise along the embedding emb, over emb.dst; M itself when
+    emb is an identity."""
+    if emb.src is emb.dst:
+        return M
+    return MatrixF(emb.dst, [[emb.apply(a) for a in r] for r in M.rows])
+
+
 def _flatten_ext_vector(K, vec):
     out = []
     for x in vec:
@@ -422,8 +432,7 @@ def hermitian_space(f, r):
     _check_hermitian_system(f, r)
     base = f.field
     K = extension_field(base, r)
-    emb = embed(base, K)
-    B = MatrixF(K, [[emb.apply(a) for a in row] for row in f.gram.rows])
+    B = lift_matrix(f.gram, embed(base, K))
     C = twist_matrix(B, 1).transpose()
     n = f.n
     p, kK = K.p, K.k

@@ -16,7 +16,8 @@ searches and pins read.
 Subspaces are held in reduced column echelon form (pivot rows strictly
 increasing, pivots 1, pivot rows zero elsewhere), so subspace equality is
 matrix equality.  Pivot selection is first-nonzero in row order, which makes
-every output deterministic.
+every output deterministic.  Every subspace operation refuses operands over
+another field or ambient space, through `hstack`, `@` or `intersect`'s check.
 """
 
 from __future__ import annotations
@@ -405,8 +406,6 @@ class Subspace:
         return self.contains(Subspace.from_columns(self.field, self.n, [vec]))
 
     def contains(self, other):
-        if other.n != self.n:
-            raise ValueError("ambient dimension mismatch")
         return subspace_sum(self, other).dim == self.dim
 
 
@@ -450,13 +449,13 @@ def _span_vectors(F, vecs, start):
 
 
 def subspace_sum(S1, S2):
-    if S1.n != S2.n:
-        raise ValueError("ambient dimension mismatch")
+    """The span of S1 and S2, the image of [S1 basis | S2 basis]."""
+    both = S1.basis.hstack(S2.basis)
     if S2.dim == 0 or S1.dim == S1.n:
         return S1
     if S1.dim == 0 or S2.dim == S2.n:
         return S2
-    return _span(S1.field, S1.n, _vectors(S1) + _vectors(S2))
+    return image(both)
 
 
 def intersect(S1, S2):
@@ -465,7 +464,9 @@ def intersect(S1, S2):
     pivot lies in the right half have a zero left half, and their right
     halves are the reduced echelon basis of the intersection."""
     if S1.n != S2.n:
-        raise ValueError("ambient dimension mismatch")
+        raise ValueError("dimension mismatch")
+    if S1.field is not S2.field:
+        raise ValueError("field mismatch")
     n = S1.n
     if S1.dim == 0 or S2.dim == n:
         return S1
@@ -488,10 +489,8 @@ def complement(S, inside=None):
     echelon basis, hence already the complement's echelon basis.
     """
     amb = inside if inside is not None else Subspace.full(S.field, S.n)
-    if amb.n != S.n:
-        raise ValueError("ambient dimension mismatch")
     d = S.dim
-    rows = [list(r + a) for r, a in zip(S.basis._e, amb.basis._e)]
+    rows = [list(r) for r in S.basis.hstack(amb.basis)._e]
     pivots = _eliminate(rows, d + amb.dim, _ops(S.field))
     if len(pivots) != amb.dim:
         raise ValueError("subspace is not inside the ambient space")
@@ -548,14 +547,13 @@ def left_orthogonal(B, S):
 
 def right_orthogonal(B, T):
     """{v : transpose(t) . B . v = 0 for all t in T}: the null space of
-    the rows t^T B."""
-    if B.nrows != B.ncols or T.n != B.nrows:
+    the rows t^T B, the rows of transpose(T basis) @ B."""
+    if B.nrows != B.ncols:
         raise ValueError("dimension mismatch")
+    rows = (T.basis.transpose() @ B)._e
     if T.dim == 0:
         return Subspace.full(B.field, B.ncols)
-    ops = _ops(B.field)
-    return _null_space(B.field, B.ncols,
-                       [_comb(t, B._e, B.ncols, ops) for t in _vectors(T)])
+    return _null_space(B.field, B.ncols, rows)
 
 
 def descent_test(S):
@@ -578,6 +576,7 @@ def descent_test(S):
 
 
 def format_matrix_file(M):
+    """The matrix-file text of M.  Only the tests' round trips read it."""
     lines = [f"field: {M.field.spec_string()}", f"n: {M.nrows}"]
     for r in M.rows:
         lines.append(" ".join(str(e) for e in r))

@@ -280,6 +280,8 @@ class TestPointEnumeration:
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
             enumerate_points(QBicForm(GF4, MatrixF.identity(GF4, 4)))
+        with pytest.raises(CostGuardError, match="n <= 8"):
+            lie_points(QBicForm(GF4, MatrixF.identity(GF4, 9)))
         # a form over GF(q)(t) is bad input, not a cost
         RF4 = field_make(2, 1, 2, kind="rational-function")
         f = QBicForm(RF4, MatrixF.identity(RF4, 1))

@@ -117,6 +117,12 @@ class TestIsomorphism:
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             is_isomorphic(f, f, mode="bogus")
 
+    def test_other_dimension_or_field(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_isomorphic(form_of("N2"), form_of("N3"))
+        with pytest.raises(ValueError, match="common base field"):
+            is_isomorphic(form_of("N2"), form_of("N2", GF9), mode="rational")
+
     def test_geometric_over_a_rational_function_field(self):
         # geometric mode compares types, which need no finite field
         f = QBicForm(RF4, MatrixF.identity(RF4, 2))

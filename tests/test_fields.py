@@ -373,6 +373,13 @@ class TestIdentity:
             GF4.one() + GF16.one()
         assert GF4.one() != GF16.one()
 
+    def test_int_on_the_left(self):
+        x = GF9.gen()
+        assert 3 - x == -x and 2 - x == GF9.from_int(2) - x
+        assert 1 / x == x.inverse() and 2 / x == GF9.from_int(2) / x
+        with pytest.raises(TypeError):
+            x + "a"
+
 
 class TestRationalFunctionField:
     @settings(max_examples=40)
@@ -730,6 +737,35 @@ def test_filtration_work_typing_the_ladder_witnesses(monkeypatch):
         type_report(QBicForm(RF4, gram))
     assert calls == {"left_orthogonal": 75, "right_orthogonal": 75,
                      "descent_test": 97}
+
+
+class TestRefusals:
+    """Arguments a field call cannot take are refused with its own
+    message."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: field_make(2, 0, 2), ValueError, "must be positive"),
+        (lambda: field_make(2, 1, 2, kind="p-adic"), ValueError,
+         "unknown field kind 'p-adic'"),
+        (lambda: _poly_rem(GF4, [1, 1], []), ZeroDivisionError,
+         "polynomial division by zero"),
+        (lambda: RF4.elements(), ValueError,
+         "cannot enumerate a rational function field"),
+        (lambda: embed(GF4, GF16).apply(GF9.one()), ValueError,
+         "not in the source field"),
+        (lambda: embed(GF4, GF16).preimage(GF4.one()), ValueError,
+         "not in the target field"),
+        (lambda: extension_field(RF4, 2), ValueError,
+         "finite fields only"),
+        (lambda: embed(GF4, RF4), ValueError, "finite fields only"),
+        (lambda: embed(GF16, GF4), ValueError, "degree mismatch"),
+        (lambda: embed(GF4, GF9), ValueError, "degree mismatch"),
+    ], ids=["e-below-1", "kind", "poly-rem-zero", "rf-elements",
+            "apply-source", "preimage-target", "extension-rf",
+            "embed-kinds", "embed-degrees", "embed-characteristics"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestConstructionAndParsing:

@@ -153,6 +153,20 @@ class TestPerpFiltration:
                     assert filt.piece(even).contains(filt.piece(odd))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: QBicForm(GF4, MatrixF.from_int_rows(GF4, [[1, 0]])),
+         "must be square"),
+        (lambda: QBicForm(GF4, MatrixF.identity(GF9, 1)),
+         "Gram matrix field mismatch"),
+        (lambda: direct_sum(form_of("1"), form_of("1", GF9)),
+         "field mismatch"),
+    ], ids=["non-square", "gram-field", "direct-sum-fields"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestType:
     def test_standard_forms_have_their_type(self):
         for text in ["1", "0", "1^3", "N2", "N3", "0+N5", "1^2+N3",
@@ -266,6 +280,8 @@ class TestDescentIndex:
         for read in (pfilt.piece_on_twist, pfilt.descent_level):
             with pytest.raises(ValueError, match="must be >= 0"):
                 read(-1)
+        with pytest.raises(ValueError, match="must be >= -1"):
+            perp_filtration(form_of("N3")).piece(-2)
 
     def test_nu_zero_bound_cases(self):
         assert nu_zero_bound(parse_type("0+N5")) == 3   # all blocks odd

@@ -1,6 +1,7 @@
 """The runtime imports nothing outside the standard library."""
 
 import ast
+import collections
 import pathlib
 import sys
 
@@ -62,3 +63,43 @@ def test_imported_names_are_read():
                 if isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, imported - read)
+
+
+def _defs(tree):
+    """The top-level functions and the non-dunder methods of top-level
+    classes of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (fn for fn in node.body
+                        if isinstance(fn, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__")))
+
+
+def _names(node):
+    """Every name read or written under node, as an ast.Name or an
+    ast.Attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_function_is_read():
+    # a function nothing names is dead code: its callers were deleted
+    paths = [*SRC.rglob("*.py"), *TESTS.glob("*.py"),
+             *(TESTS.parent / "qbicbench").rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in paths}
+    named = collections.Counter()
+    for tree in trees.values():
+        named.update(_names(tree))
+    unread = [f"{path.stem}.{fn.name}" for path in sorted(SRC.rglob("*.py"))
+              for fn in _defs(trees[path])
+              # a name met only inside its own body is a recursion
+              if named[fn.name] == list(_names(fn)).count(fn.name)]
+    assert not unread, unread

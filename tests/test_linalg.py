@@ -13,6 +13,7 @@ from qbic import CostGuardError, fields
 from qbic.cli import main
 
 from qbic.fields import field_make, frobenius, qth_root
+from qbic.forms import QBicForm, total_orthogonal
 from qbic.linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_ops,
                          _gfp_pivots, complement, descent_test, image,
                          intersect, kernel, left_orthogonal, pairing,
@@ -123,15 +124,76 @@ class TestDimensionChecks:
             Subspace.from_columns(GF4, 2, [[one, one], [one]])
 
 
+def _gf4(rows):
+    return MatrixF.from_int_rows(GF4, rows)
+
+
+class TestRefusals:
+    """Every shape or field a library call cannot take is refused with its
+    own message."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: MatrixF(GF4, [[GF4.one()] * 2, [GF4.one()]]),
+         "ragged matrix rows"),
+        (lambda: MatrixF.block_diagonal(GF4, [_gf4([[1, 0]])]),
+         "needs square blocks"),
+        (lambda: _gf4([[1]]).hstack(_gf4([[1], [0]])), "dimension mismatch"),
+        (lambda: _gf4([[1]]).hstack(MatrixF.identity(GF9, 1)),
+         "field mismatch"),
+        (lambda: _gf4([[1, 0]]) @ _gf4([[1, 0]]), "dimension mismatch"),
+        (lambda: _gf4([[1, 0]]).inverse(), "non-square"),
+        (lambda: solve(_gf4([[1, 0]]), [GF4.one()] * 2),
+         "dimension mismatch"),
+        (lambda: twisted_congruence(_gf4([[1, 0]]), _gf4([[1]])),
+         "dimension mismatch"),
+        (lambda: twisted_congruence(_gf4([[1]]), _gf4([[1, 0]])),
+         "dimension mismatch"),
+        (lambda: twisted_congruence(_gf4([[1]]), MatrixF.identity(GF4, 2)),
+         "dimension mismatch"),
+        (lambda: right_orthogonal(_gf4([[1, 0]]), Subspace.full(GF4, 2)),
+         "dimension mismatch"),
+        (lambda: intersect(Subspace.full(GF4, 1), Subspace.full(GF4, 2)),
+         "dimension mismatch"),
+        (lambda: parse_matrix_file("field: 2^2 q=2\nn: x\n0\n"),
+         "bad dimension in 'n:' header"),
+        (lambda: parse_matrix_file("field: 2^2 q=2\nn: 2\n0 0\n"),
+         "expected 2 matrix rows, found 1"),
+        (lambda: next(subspace_vectors(Subspace.full(RF4, 1))),
+         "cannot enumerate a rational function field"),
+    ], ids=["ragged", "block", "hstack-shape", "hstack-field", "matmul",
+            "inverse", "solve", "congruence-b", "congruence-a",
+            "congruence-sizes", "right-orthogonal", "intersect", "n-header",
+            "row-count", "subspace-vectors"])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestScalarPaths:
     """Every field runs matrix products and elimination on its raw scalars
     (int encodings, or GF(q)(t)'s reduced pairs with () for zero) in one
     loop."""
 
     def test_field_mismatch(self):
-        GF16 = field_make(2, 2, 4)
+        GF16_Q4 = field_make(2, 2, 4)
         with pytest.raises(ValueError, match="field mismatch"):
-            MatrixF.identity(GF4, 2) @ MatrixF.identity(GF16, 2)
+            MatrixF.identity(GF4, 2) @ MatrixF.identity(GF16_Q4, 2)
+        # GF(16) with q = 2 and with q = 4 share one table, so a subspace
+        # operation that skips the field check answers over either one;
+        # over GF(4) against GF(16) it reads past GF(4)'s table
+        for F, G in ((GF16, GF16_Q4), (GF4, GF16)):
+            S = Subspace.from_columns(F, 2, [[F.one(), F.gen()]])
+            T = Subspace.from_columns(G, 2, [[G.gen(), G.one()]])
+            B = MatrixF.from_int_rows(F, [[0, 1], [1, 1]])
+            calls = [lambda: subspace_sum(S, T), lambda: subspace_sum(T, S),
+                     lambda: intersect(S, T),
+                     lambda: complement(S, inside=Subspace.full(G, 2)),
+                     lambda: S.contains(T), lambda: right_orthogonal(B, T),
+                     lambda: left_orthogonal(B, T),
+                     lambda: total_orthogonal(QBicForm(F, B), T)]
+            for call in calls:
+                with pytest.raises(ValueError, match="field mismatch"):
+                    call()
 
     def test_rational_function_elimination(self):
         t, z, one = RF4.t_gen(), RF4.gen(), RF4.one()

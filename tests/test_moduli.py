@@ -310,6 +310,14 @@ class TestPredicates:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             necessary(P("1"), P("1^2"))
+        with pytest.raises(ValueError, match="same dimension"):
+            specialize_query(P("1"), P("1^2"))
+
+    def test_nonpositive_arguments(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            list(enumerate_types(0))
+        with pytest.raises(ValueError, match="m must be positive"):
+            psi(P("N2"), 0)
 
     def test_sufficient_implies_necessary(self):
         for n in range(1, 7):
