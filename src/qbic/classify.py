@@ -4,7 +4,8 @@ Over a finite field every q-bic form is carried to its standard Gram matrix
 1^a + sum_m N_m^(b_m) by an explicit basis change, possibly after a finite
 extension for the nonsingular part.  The splitting of the N_m summands
 follows the filtration seesaw; the nonsingular residue is orthonormalized
-through its Hermitian vectors.  Every certificate is verified exactly:
+by one Gram-Schmidt pass over F_{q^2} on its Hermitian Gram matrix, the
+one `qbic hermitian` prints.  Every certificate is verified exactly:
 transpose(U^[1]) . B . U equals the standard Gram matrix entrywise.
 """
 
@@ -15,8 +16,9 @@ from itertools import islice
 from . import _check
 from .fields import embed, frobenius
 from .forms import (QBicForm, _check_hermitian_system, _perp_prime_chain,
-                    _require_finite, hermitian_space, lift_matrix,
-                    perp_filtration, total_orthogonal, type_of, TypeSignature)
+                    _require_finite, hermitian_gram, hermitian_space,
+                    lift_matrix, perp_filtration, total_orthogonal, type_of,
+                    TypeSignature)
 from .linalg import (MatrixF, Subspace, complement, descent_test, image,
                      intersect, kernel, pairing, rank, right_orthogonal,
                      subspace_sum, twist_matrix, twist_subspace,
@@ -278,7 +280,9 @@ def _extension_degree(f):
 
 def orthonormalize_nonsingular(f, allow_extension=True):
     """Carry a nonsingular form to the identity Gram matrix, over the
-    smallest extension whose Hermitian vectors span."""
+    smallest extension whose Hermitian vectors span: a Gram-Schmidt pass
+    over F_{q^2} on their Gram H = hermitian_gram(h) gives coefficients C,
+    and the transform is transpose(W) C for the Hermitian basis rows W."""
     _require_finite(f, "a normal form")
     field, n = f.field, f.n
     if n == 0:
@@ -294,45 +298,42 @@ def orthonormalize_nonsingular(f, allow_extension=True):
     h = hermitian_space(f, r)
     _check(h.d == n, f"Hermitian vectors do not span over the degree-{r} "
                      f"extension")
-    K, BK, q = h.ext_field, h.gram_ext, h.fq2.q
-
-    def fq2():
-        # F_{q^2} inside K, in its encoding order
-        return map(h.fq2_embedding.apply, h.fq2.elements())
+    K, F, H, q = h.ext_field, h.fq2, hermitian_gram(h), h.fq2.q
 
     def add(u, c, w):
         return [a + c * b for a, b in zip(u, w)]
 
-    # Hermitian Gram-Schmidt over K on the Hermitian basis; h(v, w) =
-    # beta(v, w) lies in F_{q^2} and h(w, v) = h(v, w)^q
-    vs = [list(v) for v in h.basis]
+    # Hermitian Gram-Schmidt over F_{q^2} from the identity; h(u, w) =
+    # pairing(H, u, w) and h(w, u) = h(u, w)^q
+    vs = [list(row) for row in MatrixF.identity(F, n).rows]
     for i in range(n):
         piv = next((j for j in range(i, n)
-                    if not pairing(BK, vs[j], vs[j]).is_zero()), None)
+                    if not pairing(H, vs[j], vs[j]).is_zero()), None)
         if piv is None:
             # h(u + lam w, u + lam w) = Tr(lam h(u, w)) when h(u, u) and
             # h(w, w) vanish; the rest of the form is nondegenerate, so u
             # pairs with some later w
             j = next((j for j in range(i + 1, n)
-                      if not pairing(BK, vs[i], vs[j]).is_zero()), None)
+                      if not pairing(H, vs[i], vs[j]).is_zero()), None)
             _check(j is not None, "Hermitian Gram is degenerate")
-            c = pairing(BK, vs[i], vs[j])
-            lam = next((x for x in fq2()
+            c = pairing(H, vs[i], vs[j])
+            lam = next((x for x in F.elements()
                         if not (x * c + frobenius(x * c, 1)).is_zero()), None)
             _check(lam is not None, "no scalar of nonzero trace")
             vs[i] = add(vs[i], lam, vs[j])
             piv = i
         vs[i], vs[piv] = vs[piv], vs[i]
-        cinv = pairing(BK, vs[i], vs[i]).inverse()
+        cinv = pairing(H, vs[i], vs[i]).inverse()
         for j in range(i + 1, n):
-            vs[j] = add(vs[j], -(cinv * pairing(BK, vs[i], vs[j])), vs[i])
+            vs[j] = add(vs[j], -(cinv * pairing(H, vs[i], vs[j])), vs[i])
         # scale to h(v, v) = 1 through the norm equation x^(q+1) = c^-1
-        x = next((x for x in fq2() if not x.is_zero()
+        x = next((x for x in F.elements() if not x.is_zero()
                   and x ** (q + 1) == cinv), None)
         _check(x is not None, "no norm solution for a Hermitian diagonal")
         vs[i] = [x * a for a in vs[i]]
-    U = MatrixF(K, vs).transpose()
-    verified = twisted_congruence(BK, U) == MatrixF.identity(K, n)
+    C = MatrixF(F, vs).transpose()
+    U = MatrixF(K, h.basis).transpose() @ lift_matrix(C, h.fq2_embedding)
+    verified = twisted_congruence(h.gram_ext, U) == MatrixF.identity(K, n)
     _check(verified, "orthonormalization certificate failed to verify")
     return NormalFormCertificate(f, TypeSignature(n, {}), U, r, K, verified)
 

@@ -271,6 +271,11 @@ class FieldDescriptor:
             v //= p
         return out
 
+    def _coords(self, v):
+        """The k base-p digits of v, low first, zero-padded."""
+        dig = self._decode(v)
+        return dig + [0] * (self.k - len(dig))
+
     def _encode(self, coeffs):
         v = 0
         for c in reversed(coeffs):
@@ -1124,8 +1129,9 @@ _MODULUS_SEARCH_CAP = 2 ** 24
 # with p past this bound is refused before the test.
 _PRIME_CAP = 2 ** 44
 
-_SPEC_RE = re.compile(
-    r"^\s*(\d+)\^(\d+)(\(t\))?\s+q=(\d+)(?:\s+mod=\[([\d,\s]*)\])?\s*$")
+# a modulus list is comma-separated digit runs, each with optional spaces
+_SPEC_RE = re.compile(r"^\s*(\d+)\^(\d+)(\(t\))?\s+q=(\d+)"
+                      r"(?:\s+mod=\[(\s*\d+\s*(?:,\s*\d+\s*)*)\])?\s*$")
 
 
 def parse_field_spec(text):
@@ -1151,8 +1157,7 @@ def parse_field_spec(text):
         raise ValueError(f"q = {q} is not a positive power of p = {p}")
     modulus = None
     if m.group(5) is not None:
-        modulus = tuple(int(c) for c in m.group(5).replace(" ", "").split(",")
-                        if c != "")
+        modulus = tuple(int(c) for c in m.group(5).split(","))
         # a k this large is past the bound, and k^3 would not fit a float
         if k >= 2 ** 64 or k ** 3 * math.log2(p) > _MODULUS_SEARCH_CAP:
             raise CostGuardError(
@@ -1265,9 +1270,7 @@ def embed(src, dst):
     for i in range(k):
         basis_elt = p ** i
         img = dst._fpow(basis_elt, p ** j)
-        diff = dst._fadd(img, dst._fneg(basis_elt))
-        dig = dst._decode(diff)
-        cols.append([dig[r] if r < len(dig) else 0 for r in range(k)])
+        cols.append(dst._coords(dst._fadd(img, dst._fneg(basis_elt))))
     from .linalg import _gfp_kernel
     kernel = _gfp_kernel(cols, p, k)
     for combo in itertools.product(range(p), repeat=len(kernel)):

@@ -388,14 +388,6 @@ def lift_matrix(M, emb):
     return MatrixF(emb.dst, [[emb.apply(a) for a in r] for r in M.rows])
 
 
-def _flatten_ext_vector(K, vec):
-    out = []
-    for x in vec:
-        dig = K._decode(x.val)
-        out.extend(dig[i] if i < len(dig) else 0 for i in range(K.k))
-    return out
-
-
 # hermitian_space solves a GF(p) system with n k r columns over
 # GF(p^(k r)); past this bound a solve takes over a second.  Over GF(4)
 # with r = 32 on one shared CPU: 0.5-0.7 s at 256 columns (n = 4) and
@@ -446,7 +438,7 @@ def hermitian_space(f, r):
             x[j] = K._make(p ** i)
             xq2 = [K._make(K._fpow(v.val, q2)) for v in x]
             img = [u - w for u, w in zip(B.apply(x), C.apply(xq2))]
-            cols.append(_flatten_ext_vector(K, img))
+            cols.append([c for y in img for c in K._coords(y.val)])
     ker = _gfp_kernel(cols, p, n * kK)
 
     # decode GF(p)-kernel vectors back into K^n
@@ -459,17 +451,13 @@ def hermitian_space(f, r):
     else:
         fq2 = field_make(base.p, base.e, 2 * base.e, None, "finite")
     fq2_emb = embed(fq2, K)
-    mults = []
-    w = K.one()
-    gen_img = K._make(fq2_emb.gen_image)
-    for _ in range(fq2.k):
-        mults.append(w)
-        w = w * gen_img
+    g = K._make(fq2_emb.gen_image)
+    mults = [g ** i for i in range(fq2.k)]
 
     # greedy F_{q^2}-independent subset of the solution space: a solution
     # joins when one of its multiples is independent of the multiples
     # before it, that is, is a pivot column of their GF(p) matrix
-    mcols = [_flatten_ext_vector(K, [mu * x for x in v])
+    mcols = [[c for x in v for c in K._coords((mu * x).val)]
              for v in solutions for mu in mults]
     pivots = _gfp_pivots(mcols, p, n * kK)
     chosen = {c // len(mults) for c in pivots}

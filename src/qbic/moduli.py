@@ -266,18 +266,19 @@ def witness(family, s, t=None, q=2):
     """Build the degeneration witness of the given family; building it
     checks its fibers.
 
-    Refused with CostGuardError, before anything is built, when the
-    dimension passes _WITNESS_DIM_CAP or q passes _WITNESS_Q_CAP.  Raises
+    Refused with ValueError when q <= _WITNESS_Q_CAP is not a prime power,
+    then with CostGuardError, before anything is built, when the dimension
+    passes _WITNESS_DIM_CAP or q passes _WITNESS_Q_CAP.  Raises
     VerificationError when a fiber's type misses the family's claim."""
     claimed_generic, claimed_special = _family_claim(family, s, t)
     n = claimed_generic.n
-    if n > _WITNESS_DIM_CAP or q > _WITNESS_Q_CAP:
+    primes = _prime_factors(q) if q <= _WITNESS_Q_CAP else None
+    if primes is not None and len(primes) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    if n > _WITNESS_DIM_CAP or primes is None:
         raise CostGuardError(
             f"witness F{family} has dimension {n} over GF({q}^2)(t); guard "
             f"is n <= {_WITNESS_DIM_CAP} and q <= {_WITNESS_Q_CAP}")
-    primes = _prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
     p, e = primes[0], 1
     while p ** e < q:
         e += 1

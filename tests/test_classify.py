@@ -5,8 +5,8 @@ import pytest
 from conftest import random_invertible, rng_for
 from qbic import CostGuardError, classify, forms, moduli
 from qbic.fields import embed, field_make, frobenius
-from qbic.forms import (QBicForm, hermitian_gram, hermitian_space,
-                        parse_type, type_of)
+from qbic.forms import (QBicForm, direct_sum, hermitian_gram,
+                        hermitian_space, parse_type, type_of)
 from qbic.classify import (NeedsExtension, is_isomorphic, jordan_gram,
                            normal_form, peel, standard_gram)
 from qbic.linalg import (MatrixF, Subspace, image, intersect,
@@ -398,3 +398,44 @@ class TestOrthonormalizeAgainstReference:
                 except CostGuardError:
                     break
                 assert spans == (r == r0)
+
+
+class TestOrthonormalizeOnTheHermitianGram:
+    @pytest.mark.parametrize("field", [GF4, GF16_Q2], ids=["gf4", "gf16-q2"])
+    def test_one_gram_and_every_pairing_over_fq2(self, monkeypatch, field):
+        # one hermitian_gram call per nonsingular residue with n > 0, and
+        # every pairing of the Gram-Schmidt over the F_{q^2} of that call
+        grams, pairings = [], []
+        real_gram, real_pairing = classify.hermitian_gram, classify.pairing
+
+        def recording_gram(h):
+            grams.append(h)
+            return real_gram(h)
+
+        def recording_pairing(B, u, v):
+            pairings.append(B.field)
+            return real_pairing(B, u, v)
+
+        monkeypatch.setattr(classify, "hermitian_gram", recording_gram)
+        monkeypatch.setattr(classify, "pairing", recording_pairing)
+        rng = rng_for(f"one-gram-{field.spec_string()}")
+        forms_ = [conjugate(parse_type(text), field, rng)
+                  for text in ("1", "1^3", "N2", "1+N2", "1^2+N3", "0+N2")]
+        forms_ += random_nonsingular_forms(field, {1: 4, 2: 3, 3: 2})
+        forms_ += [direct_sum(f, form_of("N2", field))
+                   for f in random_nonsingular_forms(field, {2: 2})]
+        degrees = set()
+        for f in forms_:
+            del grams[:], pairings[:]
+            t = type_of(f)
+            cert = normal_form(f)
+            assert cert.verified and cert.target == t
+            degrees.add(cert.extension_degree)
+            assert len(grams) == (1 if t.a else 0)
+            if t.a:
+                fq2 = grams[0].fq2
+                assert pairings and set(pairings) == {fq2}
+                assert fq2.k == 2 * field.e
+            else:
+                assert pairings == []
+        assert 1 in degrees and max(degrees) > 1

@@ -101,6 +101,12 @@ class TestTypeCommand:
         code, out, err = run(capsys, "type", str(path), "--field", spec)
         assert code == 2 and out == "" and err == f"error: --field: {why}\n"
 
+    def test_modulus_list_with_a_bad_entry(self, capsys, tmp_path):
+        path = tmp_path / "form.txt"
+        path.write_text("field: 3^2 q=3 mod=[2,1 0,1]\nn: 1\n1\n")
+        code, out, err = run(capsys, "type", str(path))
+        assert code == 2 and out == "" and "bad field spec" in err
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "type", str(tmp_path / "nope.txt"))
         assert code == 2 and "nope.txt" in err
@@ -604,9 +610,11 @@ class TestWitnessCommand:
         assert code == 2 and out == ""
         assert f"family {args[1]} takes no t" in err
 
-    @pytest.mark.parametrize("q", ["6", "1"])
-    def test_q_not_a_prime_power(self, capsys, q):
-        code, out, err = run(capsys, "witness", "--family", "1", "--s", "1",
+    # at s = 30 the dimension 61 is past its guard, but q is blamed first
+    @pytest.mark.parametrize("q, s", [("6", "1"), ("1", "1"), ("6", "30")],
+                             ids=["6", "1", "6-past-the-dimension-guard"])
+    def test_q_not_a_prime_power(self, capsys, q, s):
+        code, out, err = run(capsys, "witness", "--family", "1", "--s", s,
                              "--q", q)
         assert code == 2 and out == ""
         assert f"q = {q} is not a prime power" in err

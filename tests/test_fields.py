@@ -196,6 +196,7 @@ class TestFieldAxioms:
         assert frobenius(a + b, 1) == frobenius(a, 1) + frobenius(b, 1)
         assert frobenius(a * b, 1) == frobenius(a, 1) * frobenius(b, 1)
         assert frobenius(a, 1) == a ** field.q
+        assert frobenius(a, 0) is a
 
     @given(field_and_elements(1))
     def test_qth_root_inverts_frobenius(self, data):
@@ -379,6 +380,12 @@ class TestIdentity:
         assert 1 / x == x.inverse() and 2 / x == GF9.from_int(2) / x
         with pytest.raises(TypeError):
             x + "a"
+        with pytest.raises(TypeError):
+            x - "a"
+        with pytest.raises(TypeError):
+            x * "a"
+        with pytest.raises(TypeError):
+            x / "a"
 
 
 class TestRationalFunctionField:
@@ -416,6 +423,8 @@ class TestRationalFunctionField:
         assert evaluate_at_zero(x) == GF4.one()
         with pytest.raises(ZeroDivisionError):
             evaluate_at_zero(RF4.one() / t)
+        # a finite field is its own finite part
+        assert evaluate_at_zero(GF4.gen()) == GF4.gen()
 
 
 class TestRationalFunctionZero:
@@ -760,9 +769,19 @@ class TestRefusals:
         (lambda: embed(GF4, RF4), ValueError, "finite fields only"),
         (lambda: embed(GF16, GF4), ValueError, "degree mismatch"),
         (lambda: embed(GF4, GF9), ValueError, "degree mismatch"),
+        (lambda: parse_field_spec("2^2 q=2 mod=[1,,1,1]"), ValueError,
+         "bad field spec"),
+        (lambda: parse_field_spec("2^2 q=2 mod=[1,1,1,]"), ValueError,
+         "bad field spec"),
+        (lambda: parse_field_spec("2^2 q=2 mod=[,1,1,1]"), ValueError,
+         "bad field spec"),
+        (lambda: parse_field_spec("3^2 q=3 mod=[2,1 0,1]"), ValueError,
+         "bad field spec"),
     ], ids=["e-below-1", "kind", "poly-rem-zero", "rf-elements",
             "apply-source", "preimage-target", "extension-rf",
-            "embed-kinds", "embed-degrees", "embed-characteristics"])
+            "embed-kinds", "embed-degrees", "embed-characteristics",
+            "mod-empty-entry", "mod-trailing-comma", "mod-leading-comma",
+            "mod-space-inside-an-entry"])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
@@ -788,9 +807,14 @@ class TestConstructionAndParsing:
         with pytest.raises(ValueError):
             parse_field_spec("2^2 q=3")
 
+    @pytest.mark.parametrize("text", ["2^2 q=2 mod=[1, 1, 1]",
+                                      "2^2 q=2 mod=[ 1,1,1 ]"])
+    def test_spaces_around_modulus_entries(self, text):
+        assert parse_field_spec(text) == GF4
+
     def test_finite_element_printing(self):
         z = GF4.gen()
-        assert str(z) == "z"
+        assert str(z) == "z" and repr(z) == "<z>"
         assert str(z + GF4.one()) == "z+1"
         assert GF4.parse("z+1") == z + GF4.one()
         z16 = GF16.gen()
@@ -1038,6 +1062,17 @@ class TestPrintersAgainstReference:
         assert str(x) == _ref_rf_str(x.field, x.val)
         if x:
             assert x.field.parse(str(x)) == x
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("F", [GF4, GF9, GF256, field_make(2, 1, 20)],
+                             ids=["gf4", "gf9", "gf256", "gf2^20"])
+    def test_coords_are_the_padded_digits(self, F):
+        rng = random.Random(f"coords-{F.order}")
+        for v in [0, 1, F.order - 1] + [rng.randrange(F.order)
+                                         for _ in range(200)]:
+            c = F._coords(v)
+            assert len(c) == F.k and F._encode(c) == v
 
 
 class TestEmbeddingImages:

@@ -136,6 +136,11 @@ class TestPerpFiltration:
     def test_built_once_per_form(self):
         f = form_of("0+N3")
         assert perp_filtration(f) is perp_filtration(f)
+        # an equal form is another object, with a filtration of its own
+        g = form_of("0+N3")
+        assert g == f and hash(g) == hash(f) and g is not f
+        assert repr(f) == ("QBicForm(n=4, gram=MatrixF[0 0 0 0; 0 0 1 0; "
+                           "0 0 0 1; 0 0 0 0])")
 
     def test_nonsingular_stabilizes_immediately(self):
         f = form_of("1^4")
@@ -181,6 +186,7 @@ class TestType:
         for n in range(1, 7):
             for t in enumerate_types(n):
                 assert parse_type(str(t)) == t
+                assert repr(t) == f"TypeSignature({t})"
 
     def test_type_additive_under_direct_sum(self):
         rng = rng_for("dsum")

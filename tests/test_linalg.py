@@ -93,6 +93,10 @@ class TestMatrixBasics:
         assert kernel(A).dim == 3                # no constraints
         S = Subspace.zero(GF4, 3)
         assert S.basis.ncols == 0 and S.basis.nrows == 3
+        assert repr(A) == "MatrixF[]"
+        assert repr(A.transpose()) == "MatrixF[; ; ]"
+        assert repr(MatrixF.from_int_rows(GF4, [[1, 0], [0, 1]])) == \
+            "MatrixF[1 0; 0 1]"
 
 
 class TestDimensionChecks:
@@ -226,8 +230,9 @@ class TestSubspaces:
         S = Subspace.from_columns(GF4, A.nrows, A.columns())
         doubled = Subspace.from_columns(GF4, A.nrows,
                                         A.columns() + A.columns())
-        assert S == doubled
+        assert S == doubled and hash(S) == hash(doubled)
         assert S.dim == rank(A)
+        assert repr(S) == f"Subspace(dim {S.dim} of k^{A.nrows})"
 
     @given(matrices(n=4), matrices(n=4))
     def test_dimension_formula(self, A, B):

@@ -379,6 +379,7 @@ class TestGeneratorSteps:
         path = generator_path(P("1^5"), P("0^5"))
         assert path is not None and len(path) >= 1
         assert generator_path(P("0+1^4"), P("1^2+N3")) is None
+        assert generator_path(P("1^5"), P("1^5")) == []
 
 
 class TestWitnesses:
@@ -397,6 +398,7 @@ class TestWitnesses:
     def test_witness_gram_over_gf9(self):
         w = witness(3, 1, q=3)
         assert w.verified
+        assert repr(w) == "SpecializationWitness(F3, s=1, t=None, 1^2 ~> N2)"
         assert w.form.field.p == 3
 
     def test_out_of_range(self):
@@ -451,6 +453,9 @@ class TestPoset:
         poset = build_poset(1)
         assert [(str(e.src.t), str(e.dst.t)) for e in poset.edges] == \
             [("1", "0")]
+        assert repr(poset.nodes) == "[StratumNode(0, dim=0), " \
+                                    "StratumNode(1, dim=1)]"
+        assert repr(poset.edges) == "[SpecEdge(1 ~> 0, SG)]"
 
     def test_figure_five(self):
         poset = build_poset(5, restrict=[P(s) for s in FIG5_TYPES])
