@@ -3,6 +3,11 @@
 __version__ = "0.1.0"
 
 
+class InputError(ValueError):
+    """Raised when a value from outside the program is refused; operands
+    the program builds itself are refused with a plain ValueError."""
+
+
 class CostGuardError(Exception):
     """Raised when an operation would exceed its configured cost guard."""
 

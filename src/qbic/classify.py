@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from . import _check
+from . import InputError, _check
 from .fields import embed, frobenius
 from .forms import (QBicForm, _check_hermitian_system, _perp_prime_chain,
                     _require_finite, hermitian_gram, hermitian_space,
@@ -383,17 +383,17 @@ def is_isomorphic(f, g, mode="geometric"):
     invariant over the algebraic closure).  Rational mode searches for an
     explicit witness over the common base field."""
     if f.n != g.n:
-        raise ValueError("dimension mismatch")
+        raise InputError("dimension mismatch")
     tf, tg = type_of(f), type_of(g)
     if mode == "geometric":
         return {"verdict": "yes" if tf == tg else "no",
                 "type_from": str(tf), "type_to": str(tg)}
     if mode != "rational":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     _require_finite(f, "isomorphism testing")
     _require_finite(g, "isomorphism testing")
     if f.field != g.field:
-        raise ValueError("rational mode requires a common base field")
+        raise InputError("rational mode requires a common base field")
     if tf != tg:
         return {"verdict": "no", "type_from": str(tf), "type_to": str(tg)}
     try:

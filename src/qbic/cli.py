@@ -10,8 +10,10 @@ takes), and writes refusals to stderr.  A command that fails leaves none
 of the files it wrote behind.
 
 Exit codes: 0 success; 1 specialize verdict "no"/"unknown" under
---strict; 2 input error; 3 cost-guard refusal; 4 a computed certificate or
-an invariant of its construction failed its check (VerificationError).
+--strict; 2 input error (InputError, which the library raises where it
+refuses a value) or a file that cannot be read or written; 3 cost-guard
+refusal (CostGuardError); 4 a computed certificate or an invariant of its
+construction failed its check (VerificationError).  Anything else is a bug.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import CostGuardError, VerificationError
+from . import CostGuardError, InputError, VerificationError
 from .fields import parse_field_spec
 from .forms import (QBicForm, hermitian_gram, hermitian_space, parse_type,
                     type_of, type_report)
@@ -31,10 +33,6 @@ from .linalg import parse_matrix_file
 from .classify import NeedsExtension, normal_form, standard_gram
 from .auts import dimensions_report, enumerate_points
 from . import moduli as moduli_mod
-
-
-class InputError(Exception):
-    pass
 
 
 class _Result(NamedTuple):
@@ -68,19 +66,16 @@ def _read_form(args, finite=None):
     if args.field is not None:
         try:
             wanted = parse_field_spec(args.field)
-        except ValueError as ex:
+        except InputError as ex:
             raise InputError(f"--field: {ex}") from None
     path = args.gram
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as ex:
-        raise InputError(f"{path}: {ex}") from None
-    if wanted is not None and "field:" not in text:
-        text = f"field: {args.field}\n" + text
-    try:
+        if wanted is not None and "field:" not in text:
+            text = f"field: {args.field}\n" + text
         field, gram = parse_matrix_file(text)
-    except ValueError as ex:
+    except (OSError, InputError) as ex:
         raise InputError(f"{path}: {ex}") from None
     if wanted is not None and wanted != field:
         raise InputError(f"{path}: file field {field.spec_string()!r} "
@@ -93,13 +88,6 @@ def _read_form(args, finite=None):
 
 def _matrix_json(M):
     return [[str(x) for x in row] for row in M.rows]
-
-
-def _parse_type_arg(text):
-    try:
-        return parse_type(text)
-    except ValueError as ex:
-        raise InputError(str(ex)) from None
 
 
 def cmd_type(args):
@@ -131,14 +119,12 @@ def cmd_aut(args):
             raise InputError("--points needs a gram file, not --type")
         if args.field is not None:
             raise InputError("--field needs a gram file, not --type")
-        return dimensions_report(_parse_type_arg(args.type))
+        return dimensions_report(parse_type(args.type))
     f = _read_form(args, finite="aut --points" if args.points else None)
-    report = dimensions_report(type_of(f))
-    if args.points:
-        count, _ = enumerate_points(f)
-        report["points"] = {"field": f"{f.field.p}^{f.field.k}",
-                            "count": count}
-    return report
+    # counted first: its guard reads only n and |F|, and typing costs more
+    points = ({"field": f"{f.field.p}^{f.field.k}",
+               "count": enumerate_points(f)[0]} if args.points else None)
+    return {**dimensions_report(type_of(f)), "points": points}
 
 
 def cmd_hermitian(args):
@@ -158,10 +144,10 @@ def cmd_moduli(args):
         raise InputError("--dim must be a positive integer")
     restrict = None
     if args.restrict is not None:
-        restrict = [_parse_type_arg(s) for s in args.restrict.split(",")]
+        restrict = [parse_type(s) for s in args.restrict.split(",")]
     try:
         poset = moduli_mod.build_poset(args.dim, restrict=restrict)
-    except ValueError as ex:
+    except InputError as ex:
         raise InputError(f"--restrict: {ex}") from None
     dumps = ((args.dot, poset.to_dot), (args.json, poset.to_json))
     files = tuple((path, dump()) for path, dump in dumps if path)
@@ -170,10 +156,8 @@ def cmd_moduli(args):
 
 
 def cmd_specialize(args):
-    tA = _parse_type_arg(args.src)
-    tB = _parse_type_arg(args.dst)
-    if tA.n != tB.n:
-        raise InputError(f"types have dimensions {tA.n} and {tB.n}")
+    tA = parse_type(args.src)
+    tB = parse_type(args.dst)
     verdict, detail = moduli_mod.specialize_query(tA, tB)
     report = {"from": str(tA), "to": str(tB), "verdict": verdict}
     if verdict == "yes":
@@ -184,10 +168,7 @@ def cmd_specialize(args):
 
 
 def cmd_witness(args):
-    try:
-        w = moduli_mod.witness(args.family, args.s, args.t, q=args.q)
-    except ValueError as ex:
-        raise InputError(str(ex)) from None
+    w = moduli_mod.witness(args.family, args.s, args.t, q=args.q)
     return {
         "family": f"F{w.family}",
         "s": w.s,
@@ -272,7 +253,7 @@ def main(argv=None):
         if not args.output:
             sys.stdout.write(text)
         return result.code
-    except InputError as ex:
+    except (InputError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except CostGuardError as ex:
@@ -281,9 +262,6 @@ def main(argv=None):
     except VerificationError as ex:
         print(f"verification failed: {ex}", file=sys.stderr)
         return 4
-    except OSError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

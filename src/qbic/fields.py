@@ -27,7 +27,7 @@ import math
 import re
 from functools import lru_cache
 
-from . import CostGuardError
+from . import CostGuardError, InputError
 
 # ---------------------------------------------------------------------------
 # polynomials over the prime field GF(p), packed into ints
@@ -369,7 +369,7 @@ class FieldDescriptor:
         return self._make(self._const(self.p))
 
     def t_gen(self):
-        raise ValueError("t exists only in a rational function field")
+        raise InputError("t exists only in a rational function field")
 
     def elements(self):
         """All elements, finite fields only."""
@@ -557,11 +557,11 @@ def field_make(p, e, k, modulus=None, kind="finite"):
     a bad modulus is refused on every call.
     """
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if e < 1 or k < 1:
-        raise ValueError("e and k must be positive")
+        raise InputError("e and k must be positive")
     if k % (2 * e) != 0:
-        raise ValueError(f"2e = {2 * e} does not divide k = {k}")
+        raise InputError(f"2e = {2 * e} does not divide k = {k}")
     if kind not in ("finite", "rational-function"):
         raise ValueError(f"unknown field kind {kind!r}")
     # a default modulus passed Rabin's test when it was chosen
@@ -575,9 +575,9 @@ def field_make(p, e, k, modulus=None, kind="finite"):
     if got is not None:
         return got
     if len(modulus) != k + 1 or modulus[-1] == 0:
-        raise ValueError("modulus must have degree k")
+        raise InputError("modulus must have degree k")
     if not chosen and not _PolyRing(p, modulus).irreducible():
-        raise ValueError("modulus is reducible")
+        raise InputError("modulus is reducible")
     if kind == "rational-function":
         cls = _RationalField
     else:
@@ -1009,7 +1009,7 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ValueError(
+                raise InputError(
                     f"bad element literal at position {pos}: {text[pos:]!r}")
             break
         out.append(m.group(1))
@@ -1022,10 +1022,23 @@ def _tokenize(text):
 _LITERAL_DEGREE_CAP = 1024
 
 
-def _check_literal_degree(d):
+def _check_literal_degree(deg, times=1):
+    d = deg * times
     if d > _LITERAL_DEGREE_CAP:
-        raise CostGuardError(f"element literal reaches degree {d} in t; "
+        try:
+            shown = str(d)
+        except ValueError:  # d is past the int-to-str digit limit
+            shown = f"{deg} * {times}"
+        raise CostGuardError(f"element literal reaches degree {shown} in t; "
                              f"guard is degree <= {_LITERAL_DEGREE_CAP}")
+
+
+def _parse_int(digits):
+    """The int a run of input digits spells, refused past Python's limit."""
+    try:
+        return int(digits)
+    except ValueError as ex:
+        raise InputError(str(ex)) from None
 
 
 # parentheses nest at most this deep in an element literal; the parser
@@ -1067,7 +1080,7 @@ class _ElementParser:
             op = self.take()
             w = self.factor()
             if op == "/" and not w:
-                raise ValueError("division by zero in element literal")
+                raise InputError("division by zero in element literal")
             deg = self.field._degree
             _check_literal_degree(deg(v.val) + deg(w.val))
             v = v * w if op == "*" else v / w
@@ -1079,18 +1092,18 @@ class _ElementParser:
             self.take()
             t = self.take()
             if t is None or not t.isdigit():
-                raise ValueError("expected integer exponent after '^'")
-            n = int(t)
-            _check_literal_degree(self.field._degree(v.val) * n)
+                raise InputError("expected integer exponent after '^'")
+            n = _parse_int(t)
+            _check_literal_degree(self.field._degree(v.val), n)
             v = v ** n
         return v
 
     def atom(self):
         t = self.take()
         if t is None:
-            raise ValueError("unexpected end of element literal")
+            raise InputError("unexpected end of element literal")
         if t.isdigit():
-            return self.field.from_int(int(t))
+            return self.field.from_int(_parse_int(t))
         if t == "z":
             return self.field.gen()
         if t == "t":
@@ -1098,21 +1111,21 @@ class _ElementParser:
         if t == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
-                raise ValueError(f"parentheses nest deeper than "
+                raise InputError(f"parentheses nest deeper than "
                                  f"{_MAX_NESTING} in element literal")
             v = self.expr()
             if self.take() != ")":
-                raise ValueError("unbalanced parentheses in element literal")
+                raise InputError("unbalanced parentheses in element literal")
             self.depth -= 1
             return v
-        raise ValueError(f"unexpected token {t!r} in element literal")
+        raise InputError(f"unexpected token {t!r} in element literal")
 
 
 def _parse_element(field, text):
     p = _ElementParser(field, _tokenize(text))
     v = p.expr()
     if p.peek() is not None:
-        raise ValueError(f"trailing tokens in element literal: {p.peek()!r}")
+        raise InputError(f"trailing tokens in element literal: {p.peek()!r}")
     return v
 
 
@@ -1138,12 +1151,11 @@ def parse_field_spec(text):
     """Parse a field spec string like '2^2 q=2 mod=[1,1,1]' or '2^2(t) q=2'."""
     m = _SPEC_RE.match(text)
     if not m:
-        raise ValueError(f"bad field spec: {text!r}")
-    p, k = int(m.group(1)), int(m.group(2))
+        raise InputError(f"bad field spec: {text!r}")
+    p, k, q = map(_parse_int, m.group(1, 2, 4))
     kind = "rational-function" if m.group(3) else "finite"
-    q = int(m.group(4))
     if p < 2:
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if p >= _PRIME_CAP:
         raise CostGuardError(
             f"field spec with p = {p} needs a primality test by trial "
@@ -1154,10 +1166,10 @@ def parse_field_spec(text):
         qq //= p
         e += 1
     if qq != 1 or e == 0:
-        raise ValueError(f"q = {q} is not a positive power of p = {p}")
+        raise InputError(f"q = {q} is not a positive power of p = {p}")
     modulus = None
     if m.group(5) is not None:
-        modulus = tuple(int(c) for c in m.group(5).split(","))
+        modulus = tuple(map(_parse_int, m.group(5).split(",")))
         # a k this large is past the bound, and k^3 would not fit a float
         if k >= 2 ** 64 or k ** 3 * math.log2(p) > _MODULUS_SEARCH_CAP:
             raise CostGuardError(

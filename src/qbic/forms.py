@@ -14,9 +14,9 @@ from __future__ import annotations
 import re
 import sys
 
-from . import CostGuardError, _check
-from .fields import (_check_modulus_search, embed, extension_field,
-                     field_make)
+from . import CostGuardError, InputError, _check
+from .fields import (_check_modulus_search, _parse_int, embed,
+                     extension_field, field_make)
 from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
                      descent_test, intersect, left_orthogonal,
                      right_orthogonal, twist_matrix, twist_subspace)
@@ -47,10 +47,10 @@ class QBicForm:
 
 
 def _require_finite(f, what):
-    """Refuse with ValueError a form whose field is not finite; `what`
+    """Refuse with InputError a form whose field is not finite; `what`
     names the computation that needs a finite one."""
     if f.field.kind != "finite":
-        raise ValueError(f"{what} needs a finite base field")
+        raise InputError(f"{what} needs a finite base field")
 
 
 def direct_sum(f, g):
@@ -260,8 +260,9 @@ _TYPE_DIM_CAP = 512
 
 def parse_type(text):
     """Parse a type string: terms joined by '+'; term = 1^a | N<m> |
-    N<m>^<b> | 0^c, with 0 meaning N1 and every exponent positive.  A type
-    of dimension past _TYPE_DIM_CAP is refused with CostGuardError."""
+    N<m>^<b> | 0^c, with 0 meaning N1 and every exponent positive.  Other
+    text is refused with InputError, and a type of dimension past
+    _TYPE_DIM_CAP with CostGuardError."""
     a = 0
     b = {}
     n = 0
@@ -269,13 +270,13 @@ def parse_type(text):
         term = raw.strip()
         m = _TYPE_TERM_RE.match(term)
         if not m:
-            raise ValueError(f"bad type term {term!r}")
-        mult = int(m.group(4)) if m.group(4) else 1
-        size = int(m.group(3)) if m.group(3) else 1
+            raise InputError(f"bad type term {term!r}")
+        mult = _parse_int(m.group(4)) if m.group(4) else 1
+        size = _parse_int(m.group(3)) if m.group(3) else 1
         if size < 1:
-            raise ValueError(f"bad block size in {term!r}")
+            raise InputError(f"bad block size in {term!r}")
         if mult < 1:
-            raise ValueError(f"bad exponent in {term!r}")
+            raise InputError(f"bad exponent in {term!r}")
         n += mult * size
         if n > _TYPE_DIM_CAP:
             raise CostGuardError(f"type has dimension over {_TYPE_DIM_CAP}; "

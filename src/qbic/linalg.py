@@ -26,6 +26,7 @@ import functools
 import itertools
 from collections import namedtuple
 
+from . import InputError
 from .fields import FieldElement, parse_field_spec
 
 
@@ -588,25 +589,25 @@ def parse_matrix_file(text):
     of n whitespace-separated element literals."""
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) < 2 or not lines[0].startswith("field:"):
-        raise ValueError("missing 'field:' header line")
+        raise InputError("missing 'field:' header line")
     field = parse_field_spec(lines[0][len("field:"):].strip())
     if not lines[1].startswith("n:"):
-        raise ValueError("missing 'n:' header line")
+        raise InputError("missing 'n:' header line")
     try:
         n = int(lines[1][len("n:"):].strip())
     except ValueError:
-        raise ValueError("bad dimension in 'n:' header") from None
+        raise InputError("bad dimension in 'n:' header") from None
     if n < 1:
-        raise ValueError("dimension in 'n:' header must be positive")
+        raise InputError("dimension in 'n:' header must be positive")
     if len(lines) != 2 + n:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
+        raise InputError(f"expected {n} matrix rows, found {len(lines) - 2}")
     # each distinct literal is parsed once, straight to its stored scalar
     parse, seen = field._parse_scalar, {}
     rows = []
     for li, ln in enumerate(lines[2:]):
         toks = ln.split()
         if len(toks) != n:
-            raise ValueError(f"row {li + 1}: expected {n} entries, "
+            raise InputError(f"row {li + 1}: expected {n} entries, "
                              f"found {len(toks)}")
         row = []
         for ti, tok in enumerate(toks):
@@ -614,8 +615,8 @@ def parse_matrix_file(text):
             if v is None:
                 try:
                     v = seen[tok] = parse(tok)
-                except ValueError as ex:
-                    raise ValueError(
+                except InputError as ex:
+                    raise InputError(
                         f"row {li + 1}, entry {ti + 1}: {ex}") from None
             row.append(v)
         rows.append(tuple(row))

@@ -18,7 +18,7 @@ import json
 from collections import deque
 from operator import le
 
-from . import CostGuardError, VerificationError, _check
+from . import CostGuardError, InputError, VerificationError, _check
 from .fields import _prime_factors, evaluate_at_zero, field_make
 from .forms import QBicForm, TypeSignature, type_of
 from .auts import group_dim
@@ -39,7 +39,7 @@ def enumerate_types(n):
     """All types (a; b) with a + sum(m b_m) = n, ordered lexicographically
     by (a, b_1, b_2, ...)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     out = []
 
     def go(rem, m, b):
@@ -115,7 +115,8 @@ def necessary(tA, tB):
     Theta_inf(tB), Psi_m(tA) - Psi_m(tB) does not rise past 2n+2 in
     either parity, and checking m <= 2n+2 is exact."""
     if tA.n != tB.n:
-        raise ValueError("types must have the same dimension")
+        raise InputError(f"types must have the same dimension, not {tA.n} "
+                         f"and {tB.n}")
     return all(map(le, _profile(tA), _profile(tB)))
 
 
@@ -212,7 +213,7 @@ def _witness_gram(field, family, s, t):
 
 def _family_claim(family, s, t):
     """(generic type, special type) the family's Gram matrix must realize;
-    ValueError on parameters outside the family."""
+    InputError on parameters outside the family."""
     def N(*ms):
         b = {}
         for m in ms:
@@ -221,9 +222,9 @@ def _family_claim(family, s, t):
         return TypeSignature(0, b)
 
     if family in (1, 2, 3, 6) and t is not None:
-        raise ValueError(f"family {family} takes no t")
+        raise InputError(f"family {family} takes no t")
     if family in (1, 2, 3) and s < 1:
-        raise ValueError(f"family {family} needs s >= 1")
+        raise InputError(f"family {family} needs s >= 1")
     if family == 1:
         # N_{2s+1} ~> 1^2 + N_{2s-1}
         return N(2 * s + 1), TypeSignature(2, {2 * s - 1: 1})
@@ -237,20 +238,20 @@ def _family_claim(family, s, t):
     if family == 4:
         # N_{2s-2t} + N_{2s+2} ~> N_{2s-2t+2} + N_{2s}
         if t is None or not (s >= t >= 1):
-            raise ValueError("family 4 needs s >= t >= 1")
+            raise InputError("family 4 needs s >= t >= 1")
         return (N(2 * s - 2 * t, 2 * s + 2), N(2 * s - 2 * t + 2, 2 * s))
     if family == 5:
         # N_{2s+1} + N_{2s+2t-1} ~> N_{2s-1} + N_{2s+2t+1}
         if t is None or s < 1 or t < 1:
-            raise ValueError("family 5 needs s >= 1 and t >= 1")
+            raise InputError("family 5 needs s >= 1 and t >= 1")
         return (N(2 * s + 1, 2 * s + 2 * t - 1),
                 N(2 * s - 1, 2 * s + 2 * t + 1))
     if family == 6:
         # the core 1 + N_{2s} ~> N_{2s+1} of the composite moves
         if s < 0:
-            raise ValueError("family 6 needs s >= 0")
+            raise InputError("family 6 needs s >= 0")
         return TypeSignature(1, {2 * s: 1} if s else {}), N(2 * s + 1)
-    raise ValueError(f"unknown family {family}")
+    raise InputError(f"unknown family {family}")
 
 
 # witnesses are typed over GF(q^2)(t) with q^2 <= 2^16, where the finite
@@ -266,7 +267,7 @@ def witness(family, s, t=None, q=2):
     """Build the degeneration witness of the given family; building it
     checks its fibers.
 
-    Refused with ValueError when q <= _WITNESS_Q_CAP is not a prime power,
+    Refused with InputError when q <= _WITNESS_Q_CAP is not a prime power,
     then with CostGuardError, before anything is built, when the dimension
     passes _WITNESS_DIM_CAP or q passes _WITNESS_Q_CAP.  Raises
     VerificationError when a fiber's type misses the family's claim."""
@@ -274,7 +275,7 @@ def witness(family, s, t=None, q=2):
     n = claimed_generic.n
     primes = _prime_factors(q) if q <= _WITNESS_Q_CAP else None
     if primes is not None and len(primes) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
+        raise InputError(f"q = {q} is not a prime power")
     if n > _WITNESS_DIM_CAP or primes is None:
         raise CostGuardError(
             f"witness F{family} has dimension {n} over GF({q}^2)(t); guard "
@@ -490,9 +491,9 @@ def build_poset(n, restrict=None):
         seen = set()
         for t in chosen:
             if t.n != n:
-                raise ValueError(f"type {t} does not have dimension {n}")
+                raise InputError(f"type {t} does not have dimension {n}")
             if t in seen:
-                raise ValueError(f"type {t} is named twice")
+                raise InputError(f"type {t} is named twice")
             seen.add(t)
     nec = _dominance(chosen)
     # in a reflexive transitive relation, i and j reach each other exactly
@@ -527,10 +528,9 @@ def specialize_query(tA, tB):
     """Decide whether tA specializes to tB.
 
     Returns ("yes", evidence), ("no", smallest violated Psi index), or
-    ("unknown", None).
+    ("unknown", None).  Types of different dimensions are refused with
+    InputError by necessary().
     """
-    if tA.n != tB.n:
-        raise ValueError("types must have the same dimension")
     if tA == tB:
         return ("yes", {"kind": "equal"})
     if not necessary(tA, tB):

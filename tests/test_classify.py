@@ -3,7 +3,7 @@ import time
 import pytest
 
 from conftest import random_invertible, rng_for
-from qbic import CostGuardError, classify, forms, moduli
+from qbic import CostGuardError, InputError, classify, forms, moduli
 from qbic.fields import embed, field_make, frobenius
 from qbic.forms import (QBicForm, direct_sum, hermitian_gram,
                         hermitian_space, parse_type, type_of)
@@ -133,6 +133,15 @@ class TestIsomorphism:
         with pytest.raises(ValueError,
                            match="isomorphism testing needs a finite base"):
             is_isomorphic(f, f, mode="rational")
+
+    def test_refusals_are_input_errors(self):
+        n2, rf = form_of("N2"), QBicForm(RF4, MatrixF.identity(RF4, 2))
+        for f, g, mode in ((n2, form_of("N3"), "geometric"),
+                           (n2, n2, "bogus"),
+                           (n2, form_of("N2", GF9), "rational"),
+                           (rf, rf, "rational")):
+            with pytest.raises(InputError):
+                is_isomorphic(f, g, mode=mode)
 
     def test_rational_witness(self):
         rng = rng_for("iso-rational")

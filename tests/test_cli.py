@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from qbic import moduli
+from qbic import InputError, cli, moduli
 from qbic.cli import main
+from qbic.fields import field_make, parse_field_spec
+from qbic.forms import parse_type
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "qbicbench")
@@ -127,8 +129,10 @@ class TestTypeCommand:
         code, out, _ = run(capsys, "type", str(path))
         assert code == 0 and json.loads(out)["type"] == "1"
 
-    @pytest.mark.parametrize("literal", ["t^3000000", "t^1025",
-                                         "t^600*t^600", "(t+1)^600/t^600"])
+    @pytest.mark.parametrize("literal", [
+        "t^3000000", "t^1025", "t^600*t^600", "(t+1)^600/t^600",
+        # a degree with more digits than str() writes of an int
+        pytest.param("(t^2)^" + "9" * 4300, id="degree-past-str-limit")])
     def test_literal_degree_guard(self, capsys, tmp_path, literal):
         path = tmp_path / "deep.txt"
         path.write_text(f"field: 2^2(t) q=2 mod=[1,1,1]\nn: 1\n{literal}\n")
@@ -362,6 +366,23 @@ class TestAutCommand:
         code, _, _ = run(capsys, "aut", n3_path, "--type", "N3")
         assert code == 2
 
+    def test_guard_writes_the_bound_as_a_power(self, capsys, tmp_path):
+        # 4^(85^2) has over 4,300 digits, past what str() writes of an int
+        path = diagonal_gf4_file(tmp_path, 85, "1")
+        code, out, err = run(capsys, "aut", path, "--points")
+        assert code == 3 and out == ""
+        assert "n = 85, |field|^(n^2) = 4^7225;" in err
+
+    def test_refused_points_do_not_type_the_form(self, capsys, tmp_path,
+                                                 monkeypatch):
+        def typed(f):
+            raise AssertionError("the form was typed before the guard")
+
+        monkeypatch.setattr(cli, "type_of", typed)
+        path = diagonal_gf4_file(tmp_path, 4, "1")
+        code, out, err = run(capsys, "aut", path, "--points")
+        assert code == 3 and out == "" and "4^16" in err
+
 
 class TestHermitianCommand:
     def test_counts(self, capsys, n3_path):
@@ -506,6 +527,37 @@ def test_type_dimension_guard(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.time() - start < 1.0
     assert code == 3 and out == "" and "guard is n <= 512" in err
+
+
+# Python's int() refuses a run of more than 4,300 digits
+LONG_DIGITS = "9" * 5000
+GF4 = field_make(2, 1, 2)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("spec", f"{LONG_DIGITS}^2 q=2"),
+    ("spec", f"2^2 q=2 mod=[1,{LONG_DIGITS},1]"),
+    ("literal", LONG_DIGITS),
+    ("literal", f"z^{LONG_DIGITS}"),
+    ("type", f"N{LONG_DIGITS}"),
+    ("type", f"1^{LONG_DIGITS}")],
+    ids=["spec-p", "spec-modulus", "literal-integer", "literal-exponent",
+         "type-block-size", "type-exponent"])
+def test_digit_runs_past_the_int_limit_are_input_errors(capsys, tmp_path,
+                                                        kind, text):
+    parse = {"spec": parse_field_spec, "literal": GF4.parse,
+             "type": parse_type}[kind]
+    with pytest.raises(InputError, match="Exceeds the limit"):
+        parse(text)
+    if kind == "type":
+        argv = ["aut", "--type", text]
+    else:
+        spec, entry = (text, "1") if kind == "spec" else ("2^2 q=2", text)
+        path = tmp_path / "long.txt"
+        path.write_text(f"field: {spec}\nn: 1\n{entry}\n")
+        argv = ["type", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Exceeds the limit" in err
 
 
 class TestSpecializeCommand:

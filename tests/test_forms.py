@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (LADDER_WITNESSES, random_form, random_invertible,
                       rng_for)
-from qbic import CostGuardError, VerificationError, _check, forms, moduli
+from qbic import (CostGuardError, InputError, VerificationError, _check,
+                  forms, moduli)
 from qbic.fields import field_make
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
@@ -246,7 +247,7 @@ class TestType:
         start = time.process_time()
         try:
             t = parse_type(text)
-        except (ValueError, CostGuardError):
+        except (InputError, CostGuardError):
             pass
         else:
             if t.n:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rng_for
-from qbic import CostGuardError, fields
+from qbic import CostGuardError, InputError, fields
 from qbic.cli import main
 
 from qbic.fields import field_make, frobenius, qth_root
@@ -336,7 +336,7 @@ class TestMatrixFiles:
         try:
             parse_matrix_file(text)
             parsed = True
-        except (ValueError, CostGuardError):
+        except (InputError, CostGuardError):
             parsed = False
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "gram.txt")
@@ -356,30 +356,30 @@ def _ref_parse_matrix_file(text):
 
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if len(lines) < 2 or not lines[0].startswith("field:"):
-        raise ValueError("missing 'field:' header line")
+        raise InputError("missing 'field:' header line")
     field = parse_field_spec(lines[0][len("field:"):].strip())
     if not lines[1].startswith("n:"):
-        raise ValueError("missing 'n:' header line")
+        raise InputError("missing 'n:' header line")
     try:
         n = int(lines[1][len("n:"):].strip())
     except ValueError:
-        raise ValueError("bad dimension in 'n:' header") from None
+        raise InputError("bad dimension in 'n:' header") from None
     if n < 1:
-        raise ValueError("dimension in 'n:' header must be positive")
+        raise InputError("dimension in 'n:' header must be positive")
     if len(lines) != 2 + n:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 2}")
+        raise InputError(f"expected {n} matrix rows, found {len(lines) - 2}")
     rows = []
     for li, ln in enumerate(lines[2:]):
         toks = ln.split()
         if len(toks) != n:
-            raise ValueError(f"row {li + 1}: expected {n} entries, "
+            raise InputError(f"row {li + 1}: expected {n} entries, "
                              f"found {len(toks)}")
         row = []
         for ti, tok in enumerate(toks):
             try:
                 row.append(field.parse(tok))
-            except ValueError as ex:
-                raise ValueError(
+            except InputError as ex:
+                raise InputError(
                     f"row {li + 1}, entry {ti + 1}: {ex}") from None
         rows.append(row)
     return field, MatrixF(field, rows)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qbic import CostGuardError, VerificationError
+from qbic import CostGuardError, InputError, VerificationError
 from qbic.fields import field_make
 from qbic.forms import TypeSignature, parse_type
 from qbic.auts import group_dim
@@ -446,6 +446,22 @@ class TestWitnesses:
                     if n <= moduli._WITNESS_DIM_CAP:
                         gram = moduli._witness_gram(field, family, s, tp)
                         assert (gram.nrows, gram.ncols) == (n, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: witness(7, 1),
+    lambda: witness(1, 0),
+    lambda: witness(1, 1, 1),
+    lambda: witness(1, 1, q=6),
+    lambda: specialize_query(P("N3"), P("1^4")),
+    lambda: build_poset(2, restrict=[P("1^3")]),
+    lambda: build_poset(2, restrict=[P("1^2"), P("1^2")]),
+    lambda: enumerate_types(0)],
+    ids=["family", "s", "t", "q", "specialize", "restrict-dimension",
+         "restrict-twice", "enumerate"])
+def test_refused_parameters_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
 
 
 class TestPoset:
