@@ -1,11 +1,11 @@
 """Constructive normal forms under q-twisted conjugation.
 
 Over a finite field every q-bic form is carried to its standard Gram matrix
-1^a + sum_m N_m^(b_m) by an explicit basis change, possibly after a finite
-extension for the nonsingular part.  The splitting of the N_m summands
-follows the filtration seesaw; the nonsingular residue is orthonormalized
-by one Gram-Schmidt pass over F_{q^2} on its Hermitian Gram matrix, the
-one `qbic hermitian` prints.  Every certificate is verified exactly:
+1^a + sum_m N_m^(b_m) by an explicit basis change.  `residue` splits off the
+N_m summands by the filtration seesaw and keeps the nonsingular residue on
+the form; one Gram-Schmidt pass over F_{q^2} on its Hermitian Gram, the one
+`qbic hermitian` prints, orthonormalizes it over the extension of degree
+`extension_degree(f)`.  Every certificate is verified exactly:
 transpose(U^[1]) . B . U equals the standard Gram matrix entrywise.
 """
 
@@ -56,14 +56,6 @@ class NormalFormCertificate:
         self.extension_degree = extension_degree
         self.extension_field = extension_field_
         self.verified = verified
-
-
-class NeedsExtension(Exception):
-    """Raised when allow_extension is off but the base field is too small."""
-
-    def __init__(self, degree):
-        self.degree = degree
-        super().__init__(f"needs extension of degree {degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +270,7 @@ def _extension_degree(f):
     return r
 
 
-def orthonormalize_nonsingular(f, allow_extension=True):
+def orthonormalize_nonsingular(f):
     """Carry a nonsingular form to the identity Gram matrix, over the
     smallest extension whose Hermitian vectors span: a Gram-Schmidt pass
     over F_{q^2} on their Gram H = hermitian_gram(h) gives coefficients C,
@@ -293,8 +285,6 @@ def orthonormalize_nonsingular(f, allow_extension=True):
     if rank(f.gram) != n:
         raise ValueError("form is singular")
     r = _extension_degree(f)
-    if r > 1 and not allow_extension:
-        raise NeedsExtension(r)
     h = hermitian_space(f, r)
     _check(h.d == n, f"Hermitian vectors do not span over the degree-{r} "
                      f"extension")
@@ -342,29 +332,44 @@ def orthonormalize_nonsingular(f, allow_extension=True):
 # full normal form and isomorphism testing
 
 
-def normal_form(f, allow_extension=True):
-    """Peel block sizes in increasing order, then orthonormalize the
-    nonsingular residue; returns a verified certificate carrying f to
-    standard_gram(type_of(f))."""
-    _require_finite(f, "a normal form")
-    field, n = f.field, f.n
-    t = type_of(f)
-    U = MatrixF.identity(field, n)
-    rest = f
-    offset = 0
-    for m in sorted(t.b):
-        T, rest = peel(rest, m)
-        lift = MatrixF.block_diagonal(
-            field, [MatrixF.identity(field, offset), T])
-        U = U @ lift
-        offset += m * t.b[m]
+def residue(f):
+    """(t, T, R): the type t of f and a transform T over k carrying f to t's
+    N_m blocks, smallest m first, then the nonsingular residue R; peeled on
+    the first call and kept on f."""
+    if f._residue is None:
+        _require_finite(f, "a normal form")
+        field, n = f.field, f.n
+        t = type_of(f)
+        U = MatrixF.identity(field, n)
+        rest = f
+        offset = 0
+        for m in sorted(t.b):
+            T, rest = peel(rest, m)
+            lift = MatrixF.block_diagonal(
+                field, [MatrixF.identity(field, offset), T])
+            U = U @ lift
+            offset += m * t.b[m]
+        f._residue = (t, U, rest)
+    return f._residue
 
-    cert0 = orthonormalize_nonsingular(rest, allow_extension)
+
+def extension_degree(f):
+    """The degree of the least extension of k over which f has a normal
+    form, that of its nonsingular residue; 1 when the residue is empty."""
+    return _extension_degree(residue(f)[2])
+
+
+def normal_form(f):
+    """Orthonormalize the nonsingular residue of f; returns a verified
+    certificate carrying f to standard_gram(type_of(f))."""
+    t, U, rest = residue(f)
+    n = f.n
+    cert0 = orthonormalize_nonsingular(rest)
     K = cert0.extension_field
-    emb = embed(field, K)
+    emb = embed(f.field, K)
     B_K = lift_matrix(f.gram, emb)
     tail = MatrixF.block_diagonal(
-        K, [MatrixF.identity(K, offset), cert0.transform])
+        K, [MatrixF.identity(K, n - t.a), cert0.transform])
     U_K = lift_matrix(U, emb) @ tail
 
     # move the identity block to the front: degenerate blocks were peeled
@@ -396,12 +401,10 @@ def is_isomorphic(f, g, mode="geometric"):
         raise InputError("rational mode requires a common base field")
     if tf != tg:
         return {"verdict": "no", "type_from": str(tf), "type_to": str(tg)}
-    try:
-        cf = normal_form(f, allow_extension=False)
-        cg = normal_form(g, allow_extension=False)
-    except NeedsExtension:
+    if extension_degree(f) > 1 or extension_degree(g) > 1:
         return {"verdict": "geometric-yes/rational-undetermined",
                 "type_from": str(tf), "type_to": str(tg)}
+    cf, cg = normal_form(f), normal_form(g)
     A = cf.transform @ cg.transform.inverse()
     _check(twisted_congruence(f.gram, A) == g.gram,
            "isomorphism witness does not carry f to g")

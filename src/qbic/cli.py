@@ -30,7 +30,7 @@ from .fields import parse_field_spec
 from .forms import (QBicForm, hermitian_gram, hermitian_space, parse_type,
                     type_of, type_report)
 from .linalg import parse_matrix_file
-from .classify import NeedsExtension, normal_form, standard_gram
+from .classify import extension_degree, normal_form, standard_gram
 from .auts import dimensions_report, enumerate_points
 from . import moduli as moduli_mod
 
@@ -59,9 +59,9 @@ def _write_files(files):
         raise
 
 
-def _read_form(args, finite=None):
-    """The form in the file args.gram, over the field args.field when
-    given; finite names the command when it needs a finite field."""
+def _read_form(args):
+    """The form in the UTF-8 file args.gram, over the field args.field when
+    given; the library refuses a field that a command cannot work over."""
     wanted = None
     if args.field is not None:
         try:
@@ -70,19 +70,16 @@ def _read_form(args, finite=None):
             raise InputError(f"--field: {ex}") from None
     path = args.gram
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         if wanted is not None and "field:" not in text:
             text = f"field: {args.field}\n" + text
         field, gram = parse_matrix_file(text)
-    except (OSError, InputError) as ex:
+    except (OSError, UnicodeDecodeError, InputError) as ex:
         raise InputError(f"{path}: {ex}") from None
     if wanted is not None and wanted != field:
         raise InputError(f"{path}: file field {field.spec_string()!r} "
                          f"does not match --field {args.field!r}")
-    if finite and field.kind != "finite":
-        raise InputError(f"{finite} needs a finite field, not "
-                         f"{field.spec_string()!r}")
     return QBicForm(field, gram)
 
 
@@ -95,11 +92,10 @@ def cmd_type(args):
 
 
 def cmd_normal_form(args):
-    f = _read_form(args, finite="normal-form")
-    try:
-        cert = normal_form(f, allow_extension=args.allow_extension)
-    except NeedsExtension as ex:
-        return {"verified": False, "needs_extension": ex.degree}
+    f = _read_form(args)
+    if not args.allow_extension and (r := extension_degree(f)) > 1:
+        return {"verified": False, "needs_extension": r}
+    cert = normal_form(f)
     return {
         "type": str(cert.target),
         "extension_degree": cert.extension_degree,
@@ -120,7 +116,7 @@ def cmd_aut(args):
         if args.field is not None:
             raise InputError("--field needs a gram file, not --type")
         return dimensions_report(parse_type(args.type))
-    f = _read_form(args, finite="aut --points" if args.points else None)
+    f = _read_form(args)
     # counted first: its guard reads only n and |F|, and typing costs more
     points = ({"field": f"{f.field.p}^{f.field.k}",
                "count": enumerate_points(f)[0]} if args.points else None)
@@ -130,7 +126,7 @@ def cmd_aut(args):
 def cmd_hermitian(args):
     if args.ext < 1:
         raise InputError("--ext must be a positive integer")
-    h = hermitian_space(_read_form(args, finite="hermitian"), args.ext)
+    h = hermitian_space(_read_form(args), args.ext)
     return {
         "r": h.r,
         "d": h.d,
@@ -142,10 +138,9 @@ def cmd_hermitian(args):
 def cmd_moduli(args):
     if args.dim < 1:
         raise InputError("--dim must be a positive integer")
-    restrict = None
-    if args.restrict is not None:
-        restrict = [parse_type(s) for s in args.restrict.split(",")]
     try:
+        restrict = (None if args.restrict is None
+                    else [parse_type(s) for s in args.restrict.split(",")])
         poset = moduli_mod.build_poset(args.dim, restrict=restrict)
     except InputError as ex:
         raise InputError(f"--restrict: {ex}") from None

@@ -23,7 +23,7 @@ from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
 
 
 class QBicForm:
-    __slots__ = ("field", "gram", "n", "_perp")
+    __slots__ = ("field", "gram", "n", "_perp", "_residue")
 
     def __init__(self, field, gram):
         if gram.nrows != gram.ncols:
@@ -34,6 +34,7 @@ class QBicForm:
         self.gram = gram
         self.n = gram.nrows
         self._perp = None  # built by perp_filtration on first use
+        self._residue = None  # built by classify.residue on first use
 
     def __eq__(self, other):
         return (isinstance(other, QBicForm) and self.field == other.field

@@ -6,9 +6,10 @@ from conftest import random_invertible, rng_for
 from qbic import CostGuardError, InputError, classify, forms, moduli
 from qbic.fields import embed, field_make, frobenius
 from qbic.forms import (QBicForm, direct_sum, hermitian_gram,
-                        hermitian_space, parse_type, type_of)
-from qbic.classify import (NeedsExtension, is_isomorphic, jordan_gram,
-                           normal_form, peel, standard_gram)
+                        hermitian_space, parse_type, type_of,
+                        TypeSignature)
+from qbic.classify import (extension_degree, is_isomorphic, jordan_gram,
+                           normal_form, peel, residue, standard_gram)
 from qbic.linalg import (MatrixF, Subspace, image, intersect,
                          subspace_vectors, twisted_congruence)
 from qbic.moduli import enumerate_types
@@ -90,9 +91,7 @@ class TestNormalForm:
     def test_needs_extension(self):
         z = GF4.gen()
         f = QBicForm(GF4, MatrixF(GF4, [[z]]))
-        with pytest.raises(NeedsExtension) as exc:
-            normal_form(f, allow_extension=False)
-        assert exc.value.degree == 3
+        assert extension_degree(f) == 3
 
     def test_gf9(self):
         rng = rng_for("gf9")
@@ -407,6 +406,57 @@ class TestOrthonormalizeAgainstReference:
                 except CostGuardError:
                     break
                 assert spans == (r == r0)
+
+
+class TestResidue:
+    @pytest.mark.parametrize("field", [GF4, GF9, GF16_Q2, GF16],
+                             ids=["gf4", "gf9", "gf16-q2", "gf16-q4"])
+    def test_extension_degree_is_the_normal_forms(self, field):
+        rng = rng_for(f"residue-degree-{field.spec_string()}")
+        forms_ = [conjugate(parse_type(text), field, rng)
+                  for text in ("0", "N2", "0+N2", "1", "1+N2", "1^2+N3")]
+        forms_ += random_nonsingular_forms(field, {1: 4, 2: 3, 3: 1})
+        forms_ += [direct_sum(f, form_of("N2", field))
+                   for f in random_nonsingular_forms(field, {1: 3})]
+        forms_.append(QBicForm(field, MatrixF.identity(field, 0)))
+        degrees = set()
+        for f in forms_:
+            try:
+                r = extension_degree(f)
+            except CostGuardError:
+                # the same guard refuses the normal form's extension
+                with pytest.raises(CostGuardError):
+                    normal_form(f)
+                continue
+            assert r == normal_form(f).extension_degree
+            if residue(f)[2].n == 0:
+                assert r == 1
+            degrees.add(r)
+        assert 1 in degrees and max(degrees) > 1
+
+    def test_kept_on_the_form(self):
+        f = conjugate(parse_type("1+N2+N3"), GF4, rng_for("residue-kept"))
+        assert residue(f) is residue(f)
+
+    @pytest.mark.parametrize("field", [GF4, GF9], ids=["gf4", "gf9"])
+    @pytest.mark.parametrize("text", ["1+N2+N3", "0^2+1+N2", "N2^2+N3",
+                                      "1^2", "N3", "0+1^2+N4"])
+    def test_transform_splits_off_the_blocks(self, field, text):
+        t = parse_type(text)
+        f = conjugate(t, field, rng_for(f"residue-blocks-{text}"))
+        t_f, T, R = residue(f)
+        assert t_f == t and type_of(R) == TypeSignature(t.a, {})
+        blocks = [jordan_gram(field, m) for m in sorted(t.b)
+                  for _ in range(t.b[m])]
+        assert twisted_congruence(f.gram, T) == MatrixF.block_diagonal(
+            field, [*blocks, R.gram])
+
+    def test_rational_function_field_is_refused(self):
+        f = QBicForm(RF4, MatrixF.identity(RF4, 2))
+        for fn in (residue, extension_degree, normal_form):
+            with pytest.raises(InputError,
+                               match="a normal form needs a finite base"):
+                fn(f)
 
 
 class TestOrthonormalizeOnTheHermitianGram:

@@ -84,6 +84,16 @@ class TestTypeCommand:
         _, out2, _ = run(capsys, "type", n3_path)
         assert out1 == out2
 
+    @pytest.mark.parametrize("header", ["field: 2^2 q=2 mod=[1,1,1]\n", ""],
+                             ids=["header", "flag"])
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path, header):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(header.encode() + b"n: 1\n\xff\n")
+        extra = [] if header else ["--field", "2^2 q=2 mod=[1,1,1]"]
+        code, out, err = run(capsys, "type", str(path), *extra)
+        assert code == 2 and out == ""
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
+
     def test_field_flag_supplies_header(self, capsys, tmp_path):
         path = tmp_path / "bare.txt"
         path.write_text("n: 1\n1\n")
@@ -244,6 +254,46 @@ class TestNormalFormCommand:
         assert code == 0
         assert out == '{\n  "needs_extension": 5,\n  "verified": false\n}\n'
 
+    def test_residue_is_peeled_once(self, capsys, monkeypatch, tmp_path):
+        # extension_degree peels the form; the certificate reuses it
+        from qbic import classify
+        from qbic.forms import QBicForm
+        from qbic.linalg import MatrixF, format_matrix_file, twisted_congruence
+        peeled = []
+        real = classify.peel
+
+        def counting(f, m):
+            peeled.append(m)
+            return real(f, m)
+
+        monkeypatch.setattr(classify, "peel", counting)
+        F = field_make(2, 1, 2)
+        t = parse_type("1+N2+N3")
+        A = MatrixF.from_int_rows(
+            F, [[1 if j in (i, i + 1) else 0 for j in range(6)]
+                for i in range(6)])
+        f = QBicForm(F, twisted_congruence(classify.standard_gram(t, F), A))
+        path = tmp_path / "two-sizes.txt"
+        path.write_text(format_matrix_file(f.gram))
+        code, out, _ = run(capsys, "normal-form", str(path))
+        data = json.loads(out)
+        assert code == 0 and data["verified"] and data["type"] == str(t)
+        assert peeled == [2, 3]
+
+    def test_needs_extension_builds_no_hermitian_space(self, capsys,
+                                                        monkeypatch,
+                                                        tmp_path):
+        from qbic import classify
+        called = []
+        monkeypatch.setattr(classify, "hermitian_space",
+                            lambda *args: called.append(args))
+        path = tmp_path / "z.txt"
+        path.write_text("field: 2^2 q=2 mod=[1,1,1]\nn: 1\nz\n")
+        code, out, _ = run(capsys, "normal-form", str(path))
+        assert code == 0
+        assert json.loads(out) == {"verified": False, "needs_extension": 3}
+        assert called == []
+
     def test_extension_guard(self, capsys, tmp_path):
         # M has order past 25 over GF(25): its degree-26 extension needs a
         # default modulus of degree 52, past the search guard
@@ -285,7 +335,7 @@ class TestNormalFormCommand:
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
         code, out, err = run(capsys, "normal-form", rational_path)
-        assert code == 2 and out == "" and "finite field" in err
+        assert code == 2 and out == "" and "finite base field" in err
 
     def test_failed_certificate_exits_4(self, capsys, monkeypatch, n3_path):
         from qbic import classify
@@ -336,7 +386,7 @@ class TestAutCommand:
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
         code, out, err = run(capsys, "aut", rational_path, "--points")
-        assert code == 2 and out == "" and "finite field" in err
+        assert code == 2 and out == "" and "finite base field" in err
         code, out, _ = run(capsys, "aut", rational_path)
         assert code == 0 and json.loads(out)["points"] is None
 
@@ -434,7 +484,7 @@ class TestHermitianCommand:
     def test_rational_function_field_is_input_error(self, capsys,
                                                      rational_path):
         code, out, err = run(capsys, "hermitian", rational_path)
-        assert code == 2 and out == "" and "finite field" in err
+        assert code == 2 and out == "" and "finite base field" in err
 
 
 class TestModuliCommand:
@@ -473,6 +523,12 @@ class TestModuliCommand:
         code, _, _ = run(capsys, "moduli", "--dim", "5",
                          "--restrict", "banana")
         assert code == 2
+
+    @pytest.mark.parametrize("restrict", ["banana", " ,1^3"])
+    def test_restrict_parse_error_names_the_flag(self, capsys, restrict):
+        code, out, err = run(capsys, "moduli", "--dim", "3",
+                             "--restrict", restrict)
+        assert code == 2 and out == "" and "--restrict: bad type term" in err
 
     def test_empty_restrict_is_input_error(self, capsys):
         code, out, err = run(capsys, "moduli", "--dim", "3", "--restrict", "")

@@ -65,6 +65,15 @@ def test_imported_names_are_read():
         assert imported <= read, (path.name, imported - read)
 
 
+def test_no_assert_statements():
+    # python -O strips assert, so no check in the library may rest on one
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
 def _defs(tree):
     """The top-level functions and the non-dunder methods of top-level
     classes of a module."""
