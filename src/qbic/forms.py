@@ -17,9 +17,10 @@ import sys
 from . import CostGuardError, InputError, _check
 from .fields import (_check_modulus_search, _parse_int, embed,
                      extension_field, field_make)
-from .linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
-                     descent_test, intersect, left_orthogonal,
-                     right_orthogonal, twist_matrix, twist_subspace)
+from .linalg import (MatrixF, Subspace, _elements, _gfp_kernel, _gfp_pivots,
+                     _kernel_rows, _ops, descent_test, intersect,
+                     left_orthogonal, right_orthogonal, twist_matrix,
+                     twist_subspace)
 
 
 class QBicForm:
@@ -390,10 +391,14 @@ def lift_matrix(M, emb):
     return MatrixF(emb.dst, [[emb.apply(a) for a in r] for r in M.rows])
 
 
-# hermitian_space solves a GF(p) system with n k r columns over
-# GF(p^(k r)); past this bound a solve takes over a second.  Over GF(4)
-# with r = 32 on one shared CPU: 0.5-0.7 s at 256 columns (n = 4) and
-# 1.2 s at 320 (n = 5)
+# Over F_{q^2} itself hermitian_space reduces one n-column matrix over
+# the field; over a larger extension it solves a GF(p) system with n k r
+# columns over GF(p^(k r)), and past this bound a solve takes over a
+# second: over GF(4) with r = 32 on one shared CPU, 0.5-0.7 s at 256
+# columns (n = 4) and 1.2 s at 320 (n = 5).  Over F_{q^2} the bound
+# (n k <= 256) still caps n for the Hermitian Gram and a normal form's
+# Gram-Schmidt on it: a GF(4) normal form of I_n takes 0.03 s at n = 32
+# and 0.26 s at n = 64 (Python 3.11.7, one shared CPU).
 _HERMITIAN_COLUMN_CAP = 256
 
 
@@ -416,12 +421,18 @@ def _check_hermitian_system(f, r):
 
 
 def hermitian_space(f, r):
-    """Solve for the Hermitian vectors of f over the degree-r extension.
+    """Solve for the Hermitian vectors of f over the degree-r extension K.
 
-    The defining map x -> Bx - transpose(B^[1]) x^(q^2) is F_{q^2}-linear,
-    so the solutions are found by GF(p)-linear algebra after restricting
-    scalars along the fixed power basis of the extension.  Refused by
-    _check_hermitian_system before the extension is built."""
+    The defining map x -> Bx - transpose(B^[1]) x^(q^2) is F_{q^2}-linear.
+    Over K = F_{q^2} itself x^(q^2) = x, so the Hermitian vectors are one
+    null space over K: the null vectors of B - transpose(B^[1]), one per
+    free column.  Only a larger K restricts scalars to GF(p), along the
+    fixed power basis of K, and picks an F_{q^2}-basis of the solutions.
+    Refused with InputError when r < 1, and by _check_hermitian_system
+    before the extension is built, over F_{q^2} too: its cap also bounds
+    n for the Hermitian Gram and a normal form's Gram-Schmidt."""
+    if r < 1:
+        raise InputError(f"extension degree must be >= 1, got {r}")
     _require_finite(f, "Hermitian point counting")
     _check_hermitian_system(f, r)
     base = f.field
@@ -429,6 +440,19 @@ def hermitian_space(f, r):
     B = lift_matrix(f.gram, embed(base, K))
     C = twist_matrix(B, 1).transpose()
     n = f.n
+
+    # F_{q^2} inside K
+    if base.k == 2 * base.e:
+        fq2 = base
+    else:
+        fq2 = field_make(base.p, base.e, 2 * base.e, None, "finite")
+    fq2_emb = embed(fq2, K)
+    if K is fq2:
+        rows = [[K._fadd(b, K._fneg(c)) for b, c in zip(rb, rc)]
+                for rb, rc in zip(B._e, C._e)]
+        basis = [_elements(K, v) for v in _kernel_rows(rows, n, _ops(K))]
+        return HermitianSpace(f, r, K, fq2, fq2_emb, basis, B)
+
     p, kK = K.p, K.k
     q2 = base.q ** 2
 
@@ -447,12 +471,6 @@ def hermitian_space(f, r):
     solutions = [[K._make(K._encode(v[j * kK:(j + 1) * kK]))
                   for j in range(n)] for v in ker]
 
-    # F_{q^2} inside K
-    if base.k == 2 * base.e:
-        fq2 = base
-    else:
-        fq2 = field_make(base.p, base.e, 2 * base.e, None, "finite")
-    fq2_emb = embed(fq2, K)
     g = K._make(fq2_emb.gen_image)
     mults = [g ** i for i in range(fq2.k)]
 

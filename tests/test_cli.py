@@ -294,6 +294,23 @@ class TestNormalFormCommand:
         assert json.loads(out) == {"verified": False, "needs_extension": 3}
         assert called == []
 
+    def test_degree_one_normal_form_builds_no_gfp_system(self, capsys,
+                                                          monkeypatch,
+                                                          tmp_path):
+        # the Hermitian basis over F_{q^2} itself is one null space over
+        # the field, with no GF(p) system behind it
+        from qbic import forms
+
+        def refuse(*args):
+            raise AssertionError("GF(p) system built")
+        monkeypatch.setattr(forms, "_gfp_kernel", refuse)
+        monkeypatch.setattr(forms, "_gfp_pivots", refuse)
+        path = tmp_path / "i2.txt"
+        path.write_text("field: 2^2 q=2 mod=[1,1,1]\nn: 2\n1 0\n0 1\n")
+        code, out, _ = run(capsys, "normal-form", str(path))
+        data = json.loads(out)
+        assert code == 0 and data["verified"] and data["type"] == "1^2"
+
     def test_extension_guard(self, capsys, tmp_path):
         # M has order past 25 over GF(25): its degree-26 extension needs a
         # default modulus of degree 52, past the search guard

@@ -7,15 +7,16 @@ from conftest import (LADDER_WITNESSES, random_form, random_invertible,
                       rng_for)
 from qbic import (CostGuardError, InputError, VerificationError, _check,
                   forms, moduli)
-from qbic.fields import field_make
+from qbic.fields import field_make, parse_field_spec
 from qbic.forms import (QBicForm, TypeSignature, direct_sum, hermitian_gram,
                         hermitian_space, nu_index, nu_zero_bound, parse_type,
                         perp_filtration, perp_prime_filtration, radical,
                         type_of, type_report)
 from qbic.classify import jordan_gram, standard_gram
-from qbic.linalg import (MatrixF, Subspace, descent_test, intersect,
-                         left_orthogonal, pairing, rank, twist_matrix,
-                         twist_subspace, twisted_congruence)
+from qbic.linalg import (MatrixF, Subspace, _gfp_kernel, _gfp_pivots,
+                         descent_test, intersect, left_orthogonal, pairing,
+                         rank, twist_matrix, twist_subspace,
+                         twisted_congruence)
 from qbic.moduli import enumerate_types
 
 GF4 = field_make(2, 1, 2)
@@ -343,6 +344,50 @@ class TestFiltrationSymmetry:
                     assert d(i, j) == d(j, i)
 
 
+def reference_fq2_hermitian_basis(f):
+    """The Hermitian basis of a form over F = F_{q^2} by restriction of
+    scalars: the GF(p) kernel of x -> Bx - transpose(B^[1]) x^(q^2) on
+    F^n, in the coordinates of the power basis z^i, then a greedy
+    F-independent subset of the solutions, where a solution joins when
+    one of its multiples by z^0, ..., z^(k-1) is a pivot column of the
+    GF(p) matrix of all those multiples."""
+    F, B, n = f.field, f.gram, f.n
+    C = twist_matrix(B, 1).transpose()
+    p, k, q2 = F.p, F.k, F.q ** 2
+    cols = []
+    for j in range(n):
+        for i in range(k):
+            x = [F.zero()] * n
+            x[j] = F._make(p ** i)
+            img = [u - w for u, w in zip(B.apply(x),
+                                         C.apply([v ** q2 for v in x]))]
+            cols.append([c for y in img for c in F._coords(y.val)])
+    solutions = [[F._make(F._encode(v[j * k:(j + 1) * k])) for j in range(n)]
+                 for v in _gfp_kernel(cols, p, n * k)]
+    mults = [F._make(p) ** i for i in range(k)]
+    mcols = [[c for x in v for c in F._coords((mu * x).val)]
+             for v in solutions for mu in mults]
+    chosen = {c // k for c in _gfp_pivots(mcols, p, n * k)}
+    return [v for s, v in enumerate(solutions) if s in chosen]
+
+
+def seeded_forms(field, n, rng):
+    """Three seeded forms of dimension n: random, Hermitian-structured
+    (B = transpose(B^[1]), so every vector is Hermitian), and random with
+    a zero row."""
+    q = field.q
+    rand = random_form(field, n, rng)
+    rows = [list(r) for r in random_form(field, n, rng).gram.rows]
+    for i in range(n):
+        rows[i][i] = rows[i][i] + rows[i][i] ** q
+        for j in range(i + 1, n):
+            rows[j][i] = rows[i][j] ** q
+    herm = QBicForm(field, MatrixF(field, rows))
+    rows = [list(r) for r in random_form(field, n, rng).gram.rows]
+    rows[rng.randrange(n)] = [field.zero()] * n
+    return rand, herm, QBicForm(field, MatrixF(field, rows))
+
+
 class TestHermitian:
     def test_nonsingular_counts(self):
         for n in range(1, 4):
@@ -403,6 +448,40 @@ class TestHermitian:
                         == ref
                     spans += h.d > 0
         assert spans >= 5
+
+    @pytest.mark.parametrize("spec", [
+        "2^2 q=2", "3^2 q=3", "3^2 q=3 mod=[2,1,1]", "2^4 q=4", "5^2 q=5",
+        "7^2 q=7", "2^6 q=8", "2^8 q=16", "2^18 q=512"])
+    def test_fq2_basis_matches_the_restriction_reference(self, spec):
+        # over F_{q^2} itself the basis is the field's own null space, and
+        # equals the one restriction of scalars to GF(p) picks; GF(2^18)
+        # is above TABLE_CAP
+        field = parse_field_spec(spec)
+        rng = rng_for(f"hermitian-fq2-{spec}")
+        spans = 0
+        for n in range(1, 5):
+            for _ in range(3):
+                for f in seeded_forms(field, n, rng):
+                    h = hermitian_space(f, 1)
+                    assert h.basis == reference_fq2_hermitian_basis(f)
+                    spans += h.d == n
+        assert spans >= 12
+
+    def test_fq2_builds_no_gfp_system(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("GF(p) system built")
+        monkeypatch.setattr(forms, "_gfp_kernel", refuse)
+        monkeypatch.setattr(forms, "_gfp_pivots", refuse)
+        f = QBicForm(GF4, MatrixF.identity(GF4, 3))
+        assert hermitian_space(f, 1).d == 3
+        with pytest.raises(AssertionError, match="GF\\(p\\) system built"):
+            hermitian_space(f, 2)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_extension_degree_below_one_is_refused(self, r):
+        f = QBicForm(GF4, MatrixF.identity(GF4, 2))
+        with pytest.raises(InputError, match=f"extension degree.*got {r}"):
+            hermitian_space(f, r)
 
     def test_hermitian_gram_is_hermitian(self):
         f = QBicForm(GF4, MatrixF.identity(GF4, 2))
