@@ -254,7 +254,9 @@ def _extension_degree(f):
     exactly when M^r = 1, where M = A A^sigma ... A^(sigma^(s-1)) and
     s = [k : F_{q^2}]: r is the order of M.  Each r is refused with
     CostGuardError, before M^r is formed, when hermitian_space would refuse
-    it."""
+    it.  Read on the first call and kept on f."""
+    if f._ext_degree is not None:
+        return f._ext_degree
     field, B = f.field, f.gram
     _check_hermitian_system(f, 1)
     A = B.inverse() @ twist_matrix(B, 1).transpose()
@@ -267,6 +269,7 @@ def _extension_degree(f):
         r += 1
         _check_hermitian_system(f, r)
         power = power @ M
+    f._ext_degree = r
     return r
 
 
@@ -356,7 +359,8 @@ def residue(f):
 def extension_degree(f):
     """The degree of the least extension of k over which f has a normal
     form, that of its nonsingular residue; 1 when the residue is empty."""
-    return _extension_degree(residue(f)[2])
+    rest = residue(f)[2]
+    return _extension_degree(rest) if rest.n else 1
 
 
 def normal_form(f):

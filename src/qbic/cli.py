@@ -7,7 +7,8 @@ specialization order on types.  Each subcommand returns its report, and
 any further files it asks for; `main` alone writes them, the report as
 deterministic JSON to stdout or to `--output` (which every subcommand
 takes), and writes refusals to stderr.  A command that fails leaves none
-of the files it wrote behind.
+of the files it wrote behind.  `run`, the process entry point, ends the
+process once main's output is flushed.
 
 Exit codes: 0 success; 1 specialize verdict "no"/"unknown" under
 --strict; 2 input error (InputError, which the library raises where it
@@ -259,5 +260,26 @@ def main(argv=None):
         return 4
 
 
+def run():
+    """The process entry point, of the `qbic` script and of `python -m
+    qbic.cli`: main(), then stdout and stderr flushed and the process
+    ended at once by os._exit with main's code.  That skips interpreter
+    teardown, which frees every module and object one at a time just
+    before the OS reclaims the whole process.  Nothing in qbic needs it:
+    the package registers no atexit hook and starts no thread or process,
+    and main has closed every file it wrote.  When main raises (argparse's
+    SystemExit too) or a flush fails, this returns or raises, and the
+    process ends the usual way with the usual status."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # a stream that fails, is closed, or is None (its fd was closed at
+        # start): the usual ending flushes what it can and sets the status
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

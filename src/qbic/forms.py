@@ -24,7 +24,7 @@ from .linalg import (MatrixF, Subspace, _elements, _gfp_kernel, _gfp_pivots,
 
 
 class QBicForm:
-    __slots__ = ("field", "gram", "n", "_perp", "_residue")
+    __slots__ = ("field", "gram", "n", "_perp", "_residue", "_ext_degree")
 
     def __init__(self, field, gram):
         if gram.nrows != gram.ncols:
@@ -36,6 +36,7 @@ class QBicForm:
         self.n = gram.nrows
         self._perp = None  # built by perp_filtration on first use
         self._residue = None  # built by classify.residue on first use
+        self._ext_degree = None  # read by classify._extension_degree
 
     def __eq__(self, other):
         return (isinstance(other, QBicForm) and self.field == other.field
@@ -331,9 +332,31 @@ def total_orthogonal(f, S):
     return intersect(first, second)
 
 
+# Over GF(q)(t) the perp-prime chain twists the Gram up to level nu, and a
+# twist to level l raises t-degrees q^l-fold, so the chain works on dense
+# polynomials of degree up to q^nu0 * D.  On the F2 witness Grams over
+# GF(4)(t) (type N_2s, nu0 = 2s - 1, D = 1) nu_index took 0.68 s at
+# q^nu0 * D = 2^15 (s = 8) and 2.6 s at 2^17 (s = 9) on one shared CPU
+# (Python 3.11.7); at 2^23 (s = 12) it ran past 120 s.
+_NU_TWIST_CAP = 2 ** 16
+
+
 def nu_index(f):
     """Minimal i such that the whole perp-prime filtration descends to
-    V^[i]; zero over perfect (finite) fields."""
+    V^[i]; zero over perfect (finite) fields.  Over GF(q)(t) a type with
+    N blocks is refused with CostGuardError, before the chain is built,
+    when q^nu0 * D passes _NU_TWIST_CAP, for nu0 = nu_zero_bound of its
+    type and D the largest t-degree of a numerator or denominator of the
+    Gram."""
+    field = f.field
+    if field.kind != "finite" and (t := type_of(f)).b:
+        nu0 = nu_zero_bound(t)
+        D = max(field._degree(x) for row in f.gram._e for x in row)
+        if field.q ** nu0 * D > _NU_TWIST_CAP:
+            # written as a power: the product can pass int's digit limit
+            raise CostGuardError(
+                f"the descent index twists t-degrees to q^nu0 * D = "
+                f"{field.q}^{nu0} * {D}; guard is <= {_NU_TWIST_CAP}")
     return perp_prime_filtration(f).nu()
 
 

@@ -438,6 +438,23 @@ class TestResidue:
         f = conjugate(parse_type("1+N2+N3"), GF4, rng_for("residue-kept"))
         assert residue(f) is residue(f)
 
+    def test_extension_degree_runs_once_per_residue(self, monkeypatch):
+        # each run of the M^r loop first checks the degree-1 system; r is
+        # kept on the residue, and an empty residue has r = 1 without it
+        runs = []
+        real = classify._check_hermitian_system
+        monkeypatch.setattr(classify, "_check_hermitian_system",
+                            lambda f, r: runs.append(r) or real(f, r))
+        rng = rng_for("extension-degree-once")
+        f, g, h = (conjugate(parse_type(t), GF4, rng)
+                   for t in ("N2+N3", "1^2+N2", "1^2+N2"))
+        assert extension_degree(f) == 1 and normal_form(f).verified
+        assert runs.count(1) == 0
+        assert extension_degree(g) == normal_form(g).extension_degree
+        assert runs.count(1) == 1
+        assert is_isomorphic(g, h, mode="rational")["verdict"] == "yes"
+        assert runs.count(1) == 2
+
     @pytest.mark.parametrize("field", [GF4, GF9], ids=["gf4", "gf9"])
     @pytest.mark.parametrize("text", ["1+N2+N3", "0^2+1+N2", "N2^2+N3",
                                       "1^2", "N3", "0+1^2+N4"])

@@ -119,6 +119,19 @@ class TestTypeCommand:
         code, out, err = run(capsys, "type", str(path))
         assert code == 2 and out == "" and "bad field spec" in err
 
+    def test_descent_index_guard(self, capsys, tmp_path):
+        # the F2 witness Gram at s = 12, N24 over GF(4)(t), ran past 120 s:
+        # its chain twists t-degrees to q^nu0 * D = 2^23
+        from qbic.linalg import format_matrix_file
+        path = tmp_path / "f2-s12.txt"
+        path.write_text(format_matrix_file(moduli.witness(2, 12).form.gram))
+        assert path.stat().st_size == 1188
+        start = time.process_time()
+        code, out, err = run(capsys, "type", str(path))
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == ""
+        assert "q^nu0 * D = 2^23 * 1; guard is <= 65536" in err
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "type", str(tmp_path / "nope.txt"))
         assert code == 2 and "nope.txt" in err

@@ -291,6 +291,21 @@ class TestDescentIndex:
         with pytest.raises(ValueError, match="must be >= -1"):
             perp_filtration(form_of("N3")).piece(-2)
 
+    @pytest.mark.parametrize("power, D", [(0, 1), (3, 4)])
+    def test_twist_guard_at_its_bound(self, monkeypatch, power, D):
+        # the F2 witness at s = 3 is N6 over GF(4)(t): nu = nu0 = 5, D = 1;
+        # scaled by t^3 it keeps its type and has D = 4
+        t = RF4.t_gen() ** power
+        gram = moduli.witness(2, 3).form.gram
+        f = QBicForm(RF4, MatrixF(RF4, [[t * x for x in row]
+                                        for row in gram.rows]))
+        assert type_of(f) == parse_type("N6")
+        monkeypatch.setattr(forms, "_NU_TWIST_CAP", 2 ** 5 * D)
+        assert nu_index(f) == 5
+        monkeypatch.setattr(forms, "_NU_TWIST_CAP", 2 ** 5 * D - 1)
+        with pytest.raises(CostGuardError, match=f"= 2\\^5 \\* {D};"):
+            nu_index(f)
+
     def test_nu_zero_bound_cases(self):
         assert nu_zero_bound(parse_type("0+N5")) == 3   # all blocks odd
         assert nu_zero_bound(parse_type("1+N3")) == 1   # all blocks odd

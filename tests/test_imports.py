@@ -11,21 +11,38 @@ SRC = pathlib.Path(qbic.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 
 
-def test_absolute_imports_are_standard_library():
-    modules = sorted(SRC.rglob("*.py"))
-    assert modules
-    for path in modules:
+def _absolute_imports():
+    """(file name, dotted name) for each absolute import in the package;
+    `from m import x` gives m.x."""
+    for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                assert top in sys.stdlib_module_names, (path.name, name)
+                yield from ((path.name, f"{node.module}.{alias.name}")
+                            for alias in node.names)
+
+
+def test_absolute_imports_are_standard_library():
+    imports = list(_absolute_imports())
+    assert imports
+    for file, name in imports:
+        assert name.split(".")[0] in sys.stdlib_module_names, (file, name)
+
+
+# cli.run ends the process by os._exit, so the shutdown these modules hook
+# into (atexit handlers, joining threads and worker processes) never runs;
+# importing one needs a decision about how the process ends
+SHUTDOWN_HOOKS = ("atexit", "threading", "multiprocessing",
+                  "concurrent.futures")
+
+
+def test_no_module_needs_interpreter_shutdown():
+    found = [(file, name) for file, name in _absolute_imports()
+             if any(name == hook or name.startswith(hook + ".")
+                    for hook in SHUTDOWN_HOOKS)]
+    assert not found, found
 
 
 # a function-level import is kept only where it breaks an import cycle:
