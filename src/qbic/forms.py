@@ -343,13 +343,16 @@ _NU_TWIST_CAP = 2 ** 16
 
 def nu_index(f):
     """Minimal i such that the whole perp-prime filtration descends to
-    V^[i]; zero over perfect (finite) fields.  Over GF(q)(t) a type with
-    N blocks is refused with CostGuardError, before the chain is built,
-    when q^nu0 * D passes _NU_TWIST_CAP, for nu0 = nu_zero_bound of its
-    type and D the largest t-degree of a numerator or denominator of the
-    Gram."""
+    V^[i].  A finite field is perfect: every q-th root exists, so every
+    piece descends to V and nu = 0 with no chain built.  Only GF(q)(t)
+    builds the chain, and a type with N blocks is refused there with
+    CostGuardError, before the chain is built, when q^nu0 * D passes
+    _NU_TWIST_CAP, for nu0 = nu_zero_bound of its type and D the largest
+    t-degree of a numerator or denominator of the Gram."""
     field = f.field
-    if field.kind != "finite" and (t := type_of(f)).b:
+    if field.kind == "finite":
+        return 0
+    if (t := type_of(f)).b:
         nu0 = nu_zero_bound(t)
         D = max(field._degree(x) for row in f.gram._e for x in row)
         if field.q ** nu0 * D > _NU_TWIST_CAP:
@@ -429,10 +432,16 @@ def _check_hermitian_system(f, r):
     """Refuse with CostGuardError, before anything is built, the Hermitian
     system of f over the degree-r extension when it has more than
     _HERMITIAN_COLUMN_CAP columns or the extension's modulus search is past
-    its guard."""
+    its guard.  Over F_{q^2} itself (r = 1 on a field with k = 2e) no GF(p)
+    system is built, and the refusal names what the cap bounds there."""
     base = f.field
     columns = f.n * base.k * r
     if columns > _HERMITIAN_COLUMN_CAP:
+        if r == 1 and base.k == 2 * base.e:
+            raise CostGuardError(
+                f"the Hermitian Gram over F_{{q^2}} and a normal form's "
+                f"Gram-Schmidt on it cost n*k = {columns}; guard is "
+                f"<= {_HERMITIAN_COLUMN_CAP}")
         raise CostGuardError(
             f"Hermitian vectors over the degree-{r} extension need a GF(p) "
             f"system of n*k*r = {columns} columns; guard is "

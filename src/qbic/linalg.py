@@ -349,7 +349,8 @@ def image(M):
 
 
 def solve(M, b):
-    """One solution x of Mx = b; raises ValueError when inconsistent."""
+    """One solution x of Mx = b; raises ValueError when inconsistent.
+    Only the tests read it, as the element-level face of _solve_rows."""
     if len(b) != M.nrows:
         raise ValueError("dimension mismatch")
     F = M.field
@@ -429,7 +430,8 @@ def _span(F, n, vecs):
 def subspace_vectors(S):
     """Every vector of S over a finite field, the zero vector first, in a
     fixed order: the coefficient tuples on the echelon basis run through
-    itertools.product over the field's elements in encoding order."""
+    itertools.product over the field's elements in encoding order.  Only
+    the tests read it, as the element-level face of _span_vectors."""
     F = S.field
     if F.kind != "finite":
         raise ValueError("cannot enumerate a rational function field")

@@ -346,6 +346,22 @@ class TestNormalFormCommand:
             assert code == 3 and out == ""
             assert "384 columns" in err and "<= 256" in err
 
+    def test_fq2_guard_names_what_it_bounds(self, capsys, tmp_path):
+        # over F_{q^2} itself no GF(p) system is built: the cap bounds the
+        # Hermitian Gram and a normal form's Gram-Schmidt, and normal-form
+        # meets it at extension_degree's r = 1 check
+        path = diagonal_gf4_file(tmp_path, 129, "1")
+        for argv in (["hermitian", path], ["normal-form", path],
+                     ["normal-form", path, "--allow-extension"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == ""
+            assert ("the Hermitian Gram over F_{q^2} and a normal form's "
+                    "Gram-Schmidt on it cost n*k = 258; guard is <= 256"
+                    in err)
+            assert "GF(p)" not in err
+        code, out, err = run(capsys, "hermitian", path, "--ext", "2")
+        assert code == 3 and "GF(p) system of n*k*r = 516 columns" in err
+
     def test_degree_one_extension_is_the_input_field(self, capsys,
                                                       tmp_path):
         # this form needs no extension; its certificate is over GF(9) with

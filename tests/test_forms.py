@@ -23,6 +23,9 @@ GF4 = field_make(2, 1, 2)
 GF9 = field_make(3, 1, 2)
 RF4 = field_make(2, 1, 2, kind="rational-function")
 RF9 = field_make(3, 1, 2, kind="rational-function")
+GF16_Q4 = field_make(2, 2, 4)
+GF25 = field_make(5, 1, 2)
+GF2_18 = field_make(2, 9, 18)  # above TABLE_CAP: untabled scalars
 
 
 def form_of(text, field=GF4):
@@ -265,18 +268,37 @@ class TestDescentIndex:
             f = random_form(GF4, rng.randint(1, 4), rng)
             assert nu_index(f) == 0
 
+    def test_finite_fields_build_no_perp_prime_chain(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError("perp-prime chain built")
+        monkeypatch.setattr(forms, "_perp_prime_chain", refuse)
+        rng = rng_for("nu-no-chain")
+        for field in (GF4, GF9, GF16_Q4, GF25, GF2_18):
+            for text in ("0+1+N2", "N3", "1^2+N2"):
+                t = parse_type(text)
+                f = QBicForm(field, twisted_congruence(
+                    standard_gram(t, field), random_invertible(field, t.n,
+                                                               rng)))
+                assert nu_index(f) == 0
+                assert type_report(f)["nu"] == 0
+        f = QBicForm(RF4, moduli.witness(2, 1).form.gram)
+        with pytest.raises(AssertionError, match="perp-prime chain built"):
+            nu_index(f)
+
     def test_descended_pieces_follow_the_recurrence(self):
         # over a finite field every P'_i descends, and its descent to V is
         # D_i = descent(left orthogonal of D_{i-1}), D_0 = V; this holds
-        # beyond the stored range of the filtration too
+        # beyond the stored range of the filtration too.  The chain is the
+        # oracle for nu_index, which reads nu = 0 off the field.
         rng = rng_for("descended-pieces")
-        for field in (GF4, GF9):
+        for field in (GF4, GF9, GF16_Q4, GF2_18):
             for n in range(1, 5):
                 for t in enumerate_types(n):
                     A = random_invertible(field, n, rng)
                     f = QBicForm(field, twisted_congruence(
                         standard_gram(t, field), A))
                     pfilt = perp_prime_filtration(f)
+                    assert pfilt.nu() == 0 == nu_index(f)
                     D = Subspace.full(field, n)
                     for i in range(n + 4):
                         assert pfilt.descent_level(i) == 0
