@@ -84,6 +84,14 @@ def _read_form(args):
     return QBicForm(field, gram)
 
 
+def _flag_type(flag, text):
+    """parse_type of the text given to flag; an InputError names the flag."""
+    try:
+        return parse_type(text)
+    except InputError as ex:
+        raise InputError(f"{flag}: {ex}") from None
+
+
 def _matrix_json(M):
     return [[str(x) for x in row] for row in M.rows]
 
@@ -116,7 +124,7 @@ def cmd_aut(args):
             raise InputError("--points needs a gram file, not --type")
         if args.field is not None:
             raise InputError("--field needs a gram file, not --type")
-        return dimensions_report(parse_type(args.type))
+        return dimensions_report(_flag_type("--type", args.type))
     f = _read_form(args)
     # counted first: its guard reads only n and |F|, and typing costs more
     points = ({"field": f"{f.field.p}^{f.field.k}",
@@ -152,8 +160,8 @@ def cmd_moduli(args):
 
 
 def cmd_specialize(args):
-    tA = parse_type(args.src)
-    tB = parse_type(args.dst)
+    tA = _flag_type("--from", args.src)
+    tB = _flag_type("--to", args.dst)
     verdict, detail = moduli_mod.specialize_query(tA, tB)
     report = {"from": str(tA), "to": str(tB), "verdict": verdict}
     if verdict == "yes":

@@ -6,9 +6,9 @@ enumerates all types of a given dimension, evaluates the numerical
 necessary and sufficient conditions for specialization, and assembles
 the Hasse diagram of the necessary (Psi) relation, certifying each cover
 by a path of basic degeneration moves.  It also constructs explicit
-one-parameter degeneration witnesses over GF(q^2)(t).  A move takes its
-generic and special type from its family's witness claim, and applies to
-a type that contains the generic one, replacing it by the special one.
+one-parameter degeneration witnesses over GF(q^2)(t).  A basic move is
+exactly one family's witness claim: it applies to a type that contains the
+claim's generic type, and replaces it by the special one.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .linalg import MatrixF
 
 _POSET_CAP = 8
 # the moves generator_path may generate before it is refused: every pair
-# with n <= 13 needs at most 100, while a common summand makes the search
-# grow with it (1+N3^2+N8+N100 ~> 0+N7^2+N100 is refused in 0.15 s of
+# with n <= 13 needs at most 89, while a common summand makes the search
+# grow with it (1+N3^2+N8+N100 ~> 0+N7^2+N100 is refused in 0.2-0.4 s of
 # CPU; 2 shared CPUs, Python 3.11.7)
 _PATH_BUDGET = 2000
 
@@ -203,7 +203,7 @@ def _witness_gram(field, family, s, t):
                    + [(n - 1, n, one), (2 * s - 1, n - 1, pi),
                       (n - 2, n - 1, one)])
     else:
-        # core move 1 + N_{2s} ~> N_{2s+1} of the composite family
+        # 1 + N_{2s} ~> N_{2s+1}
         entries = chain(0, n) + [(n, n, pi)]
     rows = [[field.zero() for _ in range(n)] for _ in range(n)]
     for (i, j, v) in entries:
@@ -247,7 +247,7 @@ def _family_claim(family, s, t):
         return (N(2 * s + 1, 2 * s + 2 * t - 1),
                 N(2 * s - 1, 2 * s + 2 * t + 1))
     if family == 6:
-        # the core 1 + N_{2s} ~> N_{2s+1} of the composite moves
+        # 1 + N_{2s} ~> N_{2s+1}
         if s < 0:
             raise InputError("family 6 needs s >= 0")
         return TypeSignature(1, {2 * s: 1} if s else {}), N(2 * s + 1)
@@ -291,10 +291,9 @@ def witness(family, s, t=None, q=2):
 
 @functools.cache
 def _verify_f6_core(s):
-    """Composite-family instances reduce to the move 1 + N_{2s} ~>
-    N_{2s+1}; each core is backed by a degeneration witness over q = 2,
-    built once per s.  A witness that fails raises VerificationError each
-    time, as the cache keeps no exceptions."""
+    """Back the family-6 move 1 + N_{2s} ~> N_{2s+1} by its degeneration
+    witness over q = 2, built once per s.  A witness that fails raises
+    VerificationError each time, as the cache keeps no exceptions."""
     witness(6, s)
 
 
@@ -302,26 +301,14 @@ def _verify_f6_core(s):
 # generator steps and paths
 
 
-@functools.cache
-def _move(family, s, tp):
-    """(generic type, special type) of a basic move: the family's claim,
-    except that an F6 move is the composite 1^{2tp-2s-1} + N_{2s} ~>
-    N_{2tp-1}, which expands into F3 moves followed by the core move
-    1 + N_{2tp-2} ~> N_{2tp-1}."""
-    if family != 6:
-        return _family_claim(family, s, tp)
-    return (TypeSignature(2 * tp - 2 * s - 1, {2 * s: 1} if s else {}),
-            TypeSignature(0, {2 * tp - 1: 1}))
-
-
 def generator_step(t):
     """All types reachable from t by a single basic degeneration move.
 
-    Returns (new type, family id, s, t-parameter) tuples.  A move applies
-    where t contains its generic type, and leads to t - generic + special;
-    every emitted step satisfies the necessary predicate.  Composite
-    family-6 moves are backed by their core witness only where
-    generator_path returns them.
+    Returns (new type, family id, s, t-parameter) tuples.  A move is one
+    family's claim: it applies where t contains the claim's generic type,
+    and leads to t - generic + special.  Every emitted step satisfies the
+    necessary predicate.  Family-6 moves are backed by their witness only
+    where generator_path returns them.
     """
     mu, n = t.max_block() or 0, t.n
     # each family's parameters, pruned by the block its generic type needs
@@ -334,12 +321,12 @@ def generator_step(t):
                for tp in range(1, s + 1)]
     params += [(5, s, tp) for s in half if t.b_m(2 * s + 1)
                for tp in range(1, (mu - 2 * s + 2) // 2 + 1)]
-    # a composite takes 2tp - 2s - 1 of t's a lines
-    params += [(6, s, tp) for s in range(mu // 2 + 1) if not s or t.b_m(2 * s)
-               for tp in range(s + 1, min(n + 1, 2 * s + t.a + 1) // 2 + 1)]
+    if t.a:
+        params += [(6, s, None) for s in range(mu // 2 + 1)
+                   if not s or t.b_m(2 * s)]
     results = []
     for family, s, tp in params:
-        gen, spec = _move(family, s, tp)
+        gen, spec = _family_claim(family, s, tp)
         if t.a < gen.a or any(t.b_m(m) < c for m, c in gen.b.items()):
             continue
         b = dict(t.b)
@@ -446,10 +433,10 @@ def generator_path(tA, tB):
                     path.append(step)
                     node = prev
                 path.reverse()
-                # composite moves rely on a verified core witness
+                # family-6 moves rely on a verified witness
                 for step in path:
                     if step[0] == 6:
-                        _verify_f6_core(step[2] - 1)
+                        _verify_f6_core(step[1])
                 return path
             queue.append(new)
     return None

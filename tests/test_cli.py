@@ -9,6 +9,7 @@ from qbic import InputError, cli, moduli
 from qbic.cli import main
 from qbic.fields import field_make, parse_field_spec
 from qbic.forms import parse_type
+from qbic.linalg import MatrixF
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "qbicbench")
@@ -551,12 +552,17 @@ class TestModuliCommand:
     def test_failed_f6_witness_exits_4(self, capsys, monkeypatch):
         from qbic import moduli
 
-        # F6's claim, swapped, is one its witness cannot meet
-        real = moduli._family_claim
+        real = moduli._witness_gram
+
+        def broken(field, family, s, t):
+            # an identity Gram matrix is constant in t, so its fibers miss
+            # F6's claim
+            if family == 6:
+                return MatrixF.identity(field, 2 * s + 1)
+            return real(field, family, s, t)
+
         moduli._verify_f6_core.cache_clear()
-        monkeypatch.setattr(moduli, "_family_claim", lambda family, s, t: (
-            real(family, s, t)[::-1] if family == 6
-            else real(family, s, t)))
+        monkeypatch.setattr(moduli, "_witness_gram", broken)
         code, out, err = run(capsys, "moduli", "--dim", "3")
         assert code == 4 and out == ""
         assert "witness F6 has fiber types" in err
@@ -623,12 +629,25 @@ class TestModuliCommand:
 
 @pytest.mark.parametrize("argv", [
     ["aut", "--type", "N100000000"],
-    ["specialize", "--from", "N1000000", "--to", "1+N999999"]])
+    ["specialize", "--from", "N1000000", "--to", "1+N999999"],
+    ["specialize", "--from", "N3", "--to", "N1000000"]])
 def test_type_dimension_guard(capsys, argv):
     start = time.time()
     code, out, err = run(capsys, *argv)
     assert time.time() - start < 1.0
-    assert code == 3 and out == "" and "guard is n <= 512" in err
+    # a flag prefixes only InputError: this refusal keeps its own text
+    assert (code, out, err) == (
+        3, "", "cost guard: type has dimension over 512; guard is n <= 512\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["aut", "--type", "banana"], "--type"),
+    (["specialize", "--from", "banana", "--to", "N3"], "--from"),
+    (["specialize", "--from", "N3", "--to", "banana"], "--to")])
+def test_bad_type_string_names_its_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", f"error: {flag}: bad type term 'banana'\n")
 
 
 # Python's int() refuses a run of more than 4,300 digits
@@ -687,8 +706,11 @@ class TestSpecializeCommand:
         assert code == 0 and json.loads(out)["verdict"] == "yes"
 
     def test_dimension_mismatch(self, capsys):
-        code, _, _ = run(capsys, "specialize", "--from", "1", "--to", "1^2")
-        assert code == 2
+        # both types parse: the refusal is of the pair and names no flag
+        code, out, err = run(capsys, "specialize", "--from", "1",
+                             "--to", "1^2")
+        assert (code, out, err) == (
+            2, "", "error: types must have the same dimension, not 1 and 2\n")
 
     def test_zero_exponent_is_input_error(self, capsys):
         code, out, err = run(capsys, "specialize", "--from", "1^0",

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from qbic import CostGuardError, InputError, VerificationError
 from qbic.fields import field_make
 from qbic.forms import TypeSignature, parse_type
 from qbic.auts import group_dim
+from qbic.linalg import MatrixF
 from qbic.cli import main
 from qbic import moduli
 from qbic.moduli import (ModuliPoset, SpecEdge, StratumNode, build_poset,
@@ -210,29 +212,21 @@ def reference_generator_step(t):
             if t.b_m(hi) >= (2 if tp == 1 else 1):
                 emit(5, s, tp, 0, [2 * s + 1, hi],
                      [2 * s - 1, 2 * s + 2 * tp + 1])
-    # F6 composite: 1^{2t-2s-1} + N_{2s} ~> N_{2t-1}; expands into F3
-    # steps followed by the core move 1 + N_{2t-2} ~> N_{2t-1}
-    for s in range(0, mu // 2 + 1):
-        if s and not t.b_m(2 * s):
-            continue
-        for tp in range(s + 1, (n + 1) // 2 + 1):
-            ones = 2 * tp - 2 * s - 1
-            if t.a < ones:
-                break
-            emit(6, s, tp, -ones, [2 * s], [2 * tp - 1])
+    # F6: 1 + N_{2s} ~> N_{2s+1}
+    if t.a:
+        for s in range(0, mu // 2 + 1):
+            if not s or t.b_m(2 * s):
+                emit(6, s, None, -1, [2 * s], [2 * s + 1])
     return results
 
 
 @pytest.fixture
 def claim_caches():
-    """Empty the caches that read _family_claim before and after a test
-    that patches it, so that no test sees another's claims."""
-    caches = (moduli._move, moduli._verify_f6_core)
-    for cached in caches:
-        cached.cache_clear()
+    """Empty the cache of checked F6 witnesses before and after a test that
+    patches a claim or a witness, so that no test sees another's."""
+    moduli._verify_f6_core.cache_clear()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    moduli._verify_f6_core.cache_clear()
 
 
 FIG5_TYPES = ["1^5", "1^3+N2", "1^2+N3", "1+N4", "N5", "1+N2^2", "N2+N3",
@@ -550,7 +544,7 @@ class TestSpecializeQuery:
             specialize_query(P("1+N3^2+N8+N100"), P("0+N7^2+N100"))
         assert time.process_time() - start < 1.0
         # the pair with n <= 13 whose path search generates the most moves
-        # (100), with a common N100
+        # (89), with a common N100
         verdict, ev = specialize_query(P("1^4+N3^3+N100"),
                                        P("0^2+N2+N4+N5+N100"))
         assert verdict == "yes" and ev["kind"] == "generator-path"
@@ -596,6 +590,41 @@ def test_move_closure_is_the_psi_relation():
                 "1^9+N3^2")}
 
 
+def test_path_steps_are_family_claims():
+    # every printed step (family, s, t, new) is one family's claim: the
+    # claim accepts (s, t), the type before the step contains its generic
+    # type, and new is that type - generic + special.  Checked on every
+    # generator-path answer with n <= 11 and every Hasse cover with n <= 8.
+    def check(src, dst, steps):
+        cur = src
+        for family, s, tp, new in steps:
+            gen, spec = moduli._family_claim(family, s, tp)
+            have = Counter(cur.b)
+            assert cur.a >= gen.a and all(
+                have[m] >= c for m, c in gen.b.items()), (src, dst, cur)
+            assert new == TypeSignature(
+                cur.a - gen.a + spec.a,
+                dict(have - Counter(gen.b) + Counter(spec.b))), (src, dst)
+            cur = new
+        assert cur == dst, (src, dst)
+
+    answers = 0
+    for n in range(1, 12):
+        ts = enumerate_types(n)
+        for tA in ts:
+            for tB in ts:
+                verdict, evidence = specialize_query(tA, tB)
+                if verdict == "yes" and evidence["kind"] == "generator-path":
+                    answers += 1
+                    check(tA, tB, [(int(step["family"][1:]), step["s"],
+                                    step["t"], P(step["result"]))
+                                   for step in evidence["steps"]])
+    assert answers == 134
+    for n in range(1, 9):
+        for edge in build_poset(n).edges:
+            check(edge.src.t, edge.dst.t, edge.path)
+
+
 def test_cover_without_a_path_raises(monkeypatch, capsys):
     cover = build_poset(3).edges[0]
     real = moduli.generator_path
@@ -611,12 +640,13 @@ def test_cover_without_a_path_raises(monkeypatch, capsys):
 
 
 def test_failed_f6_witness_raises(monkeypatch, claim_caches):
-    # a composite move whose core witness fails is an error, not a move
-    # to leave out
-    # F6's claim, swapped, is one its witness cannot meet
-    real = moduli._family_claim
-    monkeypatch.setattr(moduli, "_family_claim", lambda family, s, t: (
-        real(family, s, t)[::-1] if family == 6 else real(family, s, t)))
+    # an F6 move whose witness fails is an error, not a move to leave out;
+    # an identity Gram matrix is constant in t, so its fibers miss F6's
+    # claim
+    real = moduli._witness_gram
+    monkeypatch.setattr(moduli, "_witness_gram", lambda field, family, s, t: (
+        MatrixF.identity(field, 2 * s + 1) if family == 6
+        else real(field, family, s, t)))
     for _ in range(2):
         # a failed check is not cached: it raises each time
         with pytest.raises(VerificationError,
